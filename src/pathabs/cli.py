@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import formats, pabstract, temporal, vabstract
 from . import random as randdg
-from .digraph import DigraphError, contract_blocks, enumerate_paths
+from .digraph import DigraphError, contract_blocks, delete_vertices, enumerate_paths
 from .partitions import PartitionError, partition_from_labels
 from .semirings import SemiringError, get_semiring
 from .temporal import TemporalError
@@ -95,7 +95,15 @@ def _read(path: str) -> str:
 
 
 def _load_graph(args, config: RunConfig):
-    return formats.parse_digraph(_read(args.graph), get_semiring(config.semiring))
+    semiring = get_semiring(config.semiring)
+    if not args.graph.endswith(".json"):
+        return formats.parse_digraph(_read(args.graph), semiring)
+    d = formats.parse_digraph_json(_read(args.graph))
+    if d.semiring.name != semiring.name:
+        raise CliError(
+            f"{args.graph} holds a {d.semiring.name} digraph; pass --semiring {d.semiring.name}"
+        )
+    return d
 
 
 def _emit_graph(d, args, config: RunConfig) -> None:
@@ -145,23 +153,26 @@ def _cmd_vabstract(args):
     _emit(body, args)
 
 
+def _detour_any(d, vs):
+    """Boolean detours on boolean input, weighted detours on any other semiring."""
+    if d.semiring.name == "boolean":
+        return pabstract.detour_set(d, vs)
+    from .weighted import weighted_detour_set
+
+    return weighted_detour_set(d, vs)
+
+
 def _cmd_detour(args):
     config = _config(args)
     d = _load_graph(args, config)
-    vs = _vertex_args(args)
-    if d.semiring.name == "boolean":
-        out = pabstract.detour_set(d, vs)
-    else:
-        from .weighted import weighted_detour_set
-
-        out = weighted_detour_set(d, vs)
-    _emit_graph(out, args, config)
+    _emit_graph(_detour_any(d, _vertex_args(args)), args, config)
 
 
 def _cmd_bypass(args):
     config = _config(args)
     d = _load_graph(args, config)
-    _emit_graph(pabstract.bypass_set(d, _vertex_args(args)), args, config)
+    vs = _vertex_args(args)
+    _emit_graph(delete_vertices(_detour_any(d, vs), vs), args, config)
 
 
 def _cmd_pabstract(args):

@@ -375,13 +375,16 @@ def enumerate_paths(
     found: list[tuple[int, ...]] = []
     truncated = False
 
-    def extend(path: list[int], visited: set[int]) -> bool:
+    def extend(s: int) -> bool:
+        """Depth-first from s with an explicit stack; False once max_count stops it."""
         nonlocal truncated
-        if len(path) - 1 >= max_len:
-            if any(w not in visited for w in adj[path[-1]]):
-                truncated = True
-            return True
-        for w in adj[path[-1]]:
+        path, visited, stack = [s], {s}, [iter(adj[s])]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                visited.discard(path.pop())
+                continue
             if w in visited:
                 continue
             path.append(w)
@@ -389,16 +392,15 @@ def enumerate_paths(
             if w in targets:
                 if len(found) >= max_count:
                     truncated = True
-                    path.pop()
-                    visited.discard(w)
                     return False
                 found.append(tuple(path))
-            if not extend(path, visited):
+            if len(path) - 1 >= max_len:
+                if any(x not in visited for x in adj[w]):
+                    truncated = True
                 path.pop()
                 visited.discard(w)
-                return False
-            path.pop()
-            visited.discard(w)
+            else:
+                stack.append(iter(adj[w]))
         return True
 
     for s in sorted(sources):
@@ -407,7 +409,7 @@ def enumerate_paths(
                 truncated = True
                 break
             found.append((s,))
-        if not extend([s], {s}):
+        if not extend(s):
             break
     found.sort()
     return PathEnumeration(tuple(found), truncated)

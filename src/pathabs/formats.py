@@ -139,17 +139,38 @@ def parse_digraph_json(text: str) -> Digraph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
-    semiring = get_semiring(payload["semiring"])
-    arcs = {}
-    for arc in payload["arcs"]:
-        key = (int(arc["from"]), int(arc["to"]))
-        add_arc_value(arcs, key, arc["value"], semiring)
-    vertices = frozenset(int(v) for v in payload["vertices"])
-    merged = {
-        int(v): frozenset(int(m) for m in members)
-        for v, members in payload.get("blocks", {}).items()
-    }
+    try:
+        semiring = get_semiring(payload["semiring"])
+        arcs = {}
+        for i, arc in enumerate(payload["arcs"]):
+            key = (_json_vertex(arc["from"]), _json_vertex(arc["to"]))
+            add_arc_value(arcs, key, _json_value(arc["value"], semiring, i), semiring)
+        vertices = frozenset(_json_vertex(v) for v in payload["vertices"])
+        merged = {
+            _json_vertex(int(v)): frozenset(_json_vertex(m) for m in members)
+            for v, members in payload.get("blocks", {}).items()
+        }
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed digraph JSON: {exc!r}") from None
     return Digraph(vertices, _normalized(arcs, semiring), semiring, merged)
+
+
+def _json_vertex(raw) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise ParseError(f"vertex ids are positive JSON integers, got {raw!r}")
+    return raw
+
+
+def _json_value(raw, semiring: SemiringSpec, index: int):
+    """A JSON arc value is a number that its semiring's parser accepts."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"arc {index}: value {raw!r} is not a JSON number")
+    try:
+        return semiring.parse_value(str(raw))
+    except (ValueError, SemiringError) as exc:
+        raise ParseError(f"arc {index}: bad value {raw!r}: {exc}") from None
 
 
 def _to_csv(d: Digraph) -> str:

@@ -219,20 +219,21 @@ def monte_carlo_abstraction(
     m = len(partition.blocks)
     if m < 2:
         raise RandomModelError("need at least two blocks for arc frequencies")
-    keep = np.setdiff1d(np.arange(n), drop)
-    pos = {int(v): i for i, v in enumerate(keep)}
-    membership = np.zeros((m, len(keep)), dtype=np.int64)
+    block_of = np.full(n, -1, dtype=np.int64)
     for j, block in enumerate(partition.blocks):
-        for v in block:
-            membership[j, pos[v - 1]] = 1
+        block_of[[v - 1 for v in block]] = j
 
     def one_trial(t: int) -> tuple[float, np.ndarray]:
+        """Frequency and sorted block-pair ids j*m + k of one abstraction."""
         adj = _kernels.sample_adjacency(n, model.p, trial_rng(seed, t))
-        _, sub = _kernels.bypass_dense(adj, drop)
-        merged = (membership @ sub.astype(np.int64) @ membership.T) > 0
-        np.fill_diagonal(merged, False)
-        freq = merged.sum() / (m * (m - 1))
-        return float(freq), merged.astype(np.uint8)
+        # The fold zeroes the row and column of every dropped vertex, so each
+        # remaining nonzero joins two survivors, and block_of never reads -1.
+        _kernels.detour_fold_inplace(adj, drop)
+        src, dst = np.nonzero(adj)
+        bj, bk = block_of[src], block_of[dst]
+        between = bj != bk
+        pairs = np.unique(bj[between] * m + bk[between])
+        return len(pairs) / (m * (m - 1)), pairs
 
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -243,14 +244,16 @@ def monte_carlo_abstraction(
         results = [one_trial(t) for t in range(trials)]
 
     freqs = tuple(r[0] for r in results)
-    counts = np.zeros((m, m), dtype=np.int64)
-    for _, merged in results:
-        counts += merged
-    pair_freq = {}
-    for j in range(m):
-        for k in range(m):
-            if j != k:
-                pair_freq[(reps[j], reps[k])] = counts[j, k] / trials
+    counts = np.bincount(np.concatenate([r[1] for r in results]), minlength=m * m)
+    # Python ints divide to the same correctly rounded double as numpy would,
+    # without a second m*m float array alive beside the dict.
+    table = counts.tolist()
+    pair_freq = {
+        (reps[j], reps[k]): table[j * m + k] / trials
+        for j in range(m)
+        for k in range(m)
+        if j != k
+    }
     mean = float(np.mean(freqs))
     std = float(np.std(freqs, ddof=1)) if trials > 1 else 0.0
     return AbstractionFrequencies(model, trials, freqs, mean, std, pair_freq)

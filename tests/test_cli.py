@@ -88,6 +88,51 @@ def test_paths_subcommand(tmp_path, capsys):
     assert "3 5 1 4 7 2" in out
 
 
+
+def test_paths_on_a_long_path(tmp_path, capsys):
+    graph = tmp_path / "line.edges"
+    graph.write_text("".join(f"{v} {v + 1}\n" for v in range(1, 1500)))
+    code, out, _ = run_cli(capsys, "paths", "--graph", str(graph), "--from", "1", "--to", "1500")
+    assert code == 0
+    assert out == " ".join(str(v) for v in range(1, 1501)) + "\n"
+
+
+def test_bypass_weighted_matches_detour(tmp_path, capsys):
+    graph = tmp_path / "w.edges"
+    graph.write_text("1 2 3\n2 3 4\n")
+    code, out, _ = run_cli(
+        capsys, "bypass", "--graph", str(graph), "--vertex", "2", "--semiring", "counting"
+    )
+    assert code == 0
+    assert out == "vertices 1 3\n1 3 12\n"
+
+
+def test_json_graph_input(tmp_path, capsys):
+    good = tmp_path / "g.json"
+    good.write_text(
+        '{"semiring": "counting", "vertices": [1, 2, 3], "arcs": '
+        '[{"from": 1, "to": 2, "value": 3}, {"from": 2, "to": 3, "value": 4}]}'
+    )
+    code, out, _ = run_cli(
+        capsys, "bypass", "--graph", str(good), "--vertex", "2", "--semiring", "counting"
+    )
+    assert code == 0
+    assert out == "vertices 1 3\n1 3 12\n"
+    # the file's semiring must match --semiring
+    code, _, _ = run_cli(capsys, "bypass", "--graph", str(good), "--vertex", "2")
+    assert code == 1
+    for value in ('"3"', "-5"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"semiring": "counting", "vertices": [1, 2], "arcs": '
+            f'[{{"from": 1, "to": 2, "value": {value}}}]}}'
+        )
+        code, _, err = run_cli(
+            capsys, "detour", "--graph", str(bad), "--vertex", "1", "--semiring", "counting"
+        )
+        assert code == 1, err
+        assert "bad value" in err or "not a JSON number" in err
+
 def test_contract_subcommand(tmp_path, capsys):
     graph = tmp_path / "d.edges"
     graph.write_text("1 2\n2 3\n")

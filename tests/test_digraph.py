@@ -221,6 +221,16 @@ def test_enumerate_paths_truncation_flag():
     assert all(len(p) - 1 <= 2 for p in short.paths)
 
 
+
+def test_enumerate_paths_long_path():
+    # one stack frame per path vertex would exceed the recursion limit
+    n = 1500
+    d = Digraph.build(n, [(v, v + 1) for v in range(1, n)])
+    result = enumerate_paths(d, {1}, {n})
+    assert result.paths == (tuple(range(1, n + 1)),)
+    assert not result.truncated
+    assert enumerate_paths(d, {1}, {n}, max_len=n - 2).truncated
+
 def test_enumerate_paths_returns_real_paths(rng):
     for _ in range(100):
         d = random_dag(rng, rng.randint(2, 8), 0.5)

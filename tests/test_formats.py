@@ -127,6 +127,27 @@ def test_json_round_trip_keeps_blocks():
     assert parse_digraph_json(serialize_digraph(c, "json")) == c
 
 
+
+def _counting_json(*values: str) -> str:
+    arcs = ", ".join(f'{{"from": 1, "to": 2, "value": {v}}}' for v in values)
+    return f'{{"semiring": "counting", "vertices": [1, 2], "arcs": [{arcs}]}}'
+
+
+def test_json_values_pass_the_semiring_parser():
+    assert parse_digraph_json(_counting_json("3", "4")).arcs == {(1, 2): 7}
+    # string weights used to be added as strings, giving '34'
+    with pytest.raises(ParseError):
+        parse_digraph_json(_counting_json('"3"', '"4"'))
+    for bad in ("-5", "2.5", "true", "null"):
+        with pytest.raises(ParseError):
+            parse_digraph_json(_counting_json(bad))
+    with pytest.raises(ParseError):
+        parse_digraph_json('{"semiring": "boolean", "vertices": [1, 2], "arcs": [{"from": 1}]}')
+    # vertex ids obey the edge-list rule: positive integers, never truncated
+    for vertices in ("[0, 1, 2]", "[1, 2.5]", "[true, 2]"):
+        with pytest.raises(ParseError):
+            parse_digraph_json(f'{{"semiring": "boolean", "vertices": {vertices}, "arcs": []}}')
+
 def test_edgelist_round_trip_after_deletion():
     from pathabs import bypass
 

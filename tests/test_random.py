@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pathabs import PartialPartition
+from pathabs import Digraph, PartialPartition, _kernels, path_abstract
 from pathabs.partitions import discrete_partition
 from pathabs.random import (
     GnpModel,
@@ -23,6 +24,7 @@ from pathabs.random import (
     strong_connectivity_rate_mc,
     survival_potential,
     survival_potential_inverse,
+    trial_rng,
 )
 
 FIDI_SIZES = (4, 3, 2, 2, 1, 2, 1, 2, 2, 3, 2)
@@ -198,6 +200,49 @@ def test_monte_carlo_pair_frequencies():
         (a, b) for a in (1, 3, 4) for b in (1, 3, 4) if a != b
     }
     assert all(0.0 <= f <= 1.0 for f in out.pair_frequency.values())
+
+
+def test_monte_carlo_pinned_values():
+    # recorded with the dense int64-matmul block merge; the sampled stream
+    # and the merge must reproduce them bit for bit
+    n = 300
+    pi = PartialPartition(n, [{v} for v in range(1, 271)])
+    out = monte_carlo_abstraction(GnpModel(n, 0.02), pi, 200, seed=707)
+    assert out.mean == 0.04385908026986094
+    assert out.stddev == 0.007102714686792534
+    blocks = PartialPartition(60, [set(range(v, v + 3)) for v in range(1, 55, 3)])
+    out = monte_carlo_abstraction(GnpModel(60, 0.1), blocks, 16, seed=707)
+    assert out.mean == 0.8200571895424836
+    assert out.stddev == 0.034738398128803055
+    assert sum(out.pair_frequency.values()) == 250.9375
+    assert len(out.pair_frequency) == 306
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [{v} for v in range(1, 31)],
+        [{1, 2, 3}, {5}, {8, 9}, set(range(20, 26)), {33}],
+        [set(range(1, 11)), set(range(11, 25))],
+    ],
+    ids=["singletons", "mixed", "two-blocks"],
+)
+def test_monte_carlo_matches_dict_lane(blocks):
+    n, p, trials, seed = 40, 0.08, 6, 31
+    pi = PartialPartition(n, blocks)
+    m = len(pi.blocks)
+    out = monte_carlo_abstraction(GnpModel(n, p), pi, trials, seed=seed)
+    tally = dict.fromkeys(out.pair_frequency, 0)
+    for t in range(trials):
+        adj = _kernels.sample_adjacency(n, p, trial_rng(seed, t))
+        src, dst = np.nonzero(adj)
+        d = Digraph.build(n, {(int(x) + 1, int(y) + 1): 1 for x, y in zip(src, dst)})
+        abstraction = path_abstract(d, pi)
+        assert out.frequencies[t] == abstraction.arc_count() / (m * (m - 1))
+        for arc in abstraction.arcs:
+            tally[arc] += 1
+    assert len(tally) == m * (m - 1)
+    assert out.pair_frequency == {pair: count / trials for pair, count in tally.items()}
 
 
 def _bisect_oracle(c):
