@@ -1,7 +1,7 @@
 """Kernel selection: compiled extension when built, NumPy fallback otherwise.
 
-Set PATHABS_NO_FAST=1 to force the fallback (used by the benchmark and by
-tests comparing the two lanes).
+Set PATHABS_NO_FAST=1 to force the fallback (used by the tests comparing
+the two lanes).
 """
 
 from __future__ import annotations

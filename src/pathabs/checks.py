@@ -120,6 +120,21 @@ def check_detour_commutation(seed: int):
         )
 
 
+def check_set_bypass(seed: int):
+    """The one-pass ``detour_set`` against the per-vertex ``detour`` fold it replaces."""
+    rng = _stdrandom.Random(seed)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        d = _random_digraph(rng, n, 0.35)
+        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+        d = d.with_arcs({**d.arcs, **{(x, y): 1 for x, y in zip(cycle, cycle[1:] + cycle[:1])}})
+        drop = rng.sample(range(1, n + 1), rng.randint(0, n))
+        fold = d
+        for v in drop:
+            fold = detour(fold, v)
+        _require(detour_set(d, drop) == fold, f"one-pass detour_set at {drop} differs on {d}")
+
+
 def check_detour_contract_commutation(seed: int):
     rng = _stdrandom.Random(seed)
     for _ in range(150):
@@ -248,6 +263,7 @@ SUITES = [
     ("scc-acyclicity", check_scc_acyclic),
     ("transitive-reduction", check_transitive_reduction),
     ("detour-commutation", check_detour_commutation),
+    ("set-bypass", check_set_bypass),
     ("detour-contract-commutation", check_detour_contract_commutation),
     ("weighted-commutation-predicate", check_weighted_predicate),
     ("boolean-specialization", check_boolean_specialization),

@@ -174,23 +174,42 @@ def _json_value(raw, semiring: SemiringSpec, index: int):
 
 
 def _to_csv(d: Digraph) -> str:
+    """Arc rows, preceded by a vertex row per vertex unless the arcs imply the set.
+
+    The arcs imply 1..max over their endpoints; isolated top vertices and
+    gaps left by deletions need the vertex rows.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["from", "to", "value"])
+    order = sorted(d.vertices)
+    top = max((max(x, y) for (x, y) in d.arcs), default=0)
+    if order != list(range(1, top + 1)):
+        writer.writerows([v, "", ""] for v in order)
     for (x, y) in sorted(d.arcs):
         writer.writerow([x, y, d.semiring.format_value(d.arcs[(x, y)])])
     return out.getvalue()
 
 
 def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
+    """Rows "from,to,value" are arcs; a row "v,," (empty to and value) lists vertex v.
+
+    A file with vertex rows has exactly those vertices, and ``n`` is not
+    used.  Otherwise the vertices are 1..max over the arcs' endpoints and
+    ``n``, as in files written before vertex rows existed.
+    """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows or [c.strip() for c in rows[0]] != ["from", "to", "value"]:
         raise ParseError("digraph CSV needs the header from,to,value")
     acc: dict[tuple[int, int], object] = {}
+    listed: set[int] = set()
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ParseError(f"row {i}: expected three columns")
+        if not row[1].strip() and not row[2].strip():
+            listed.add(_parse_vertex(row[0], i))
+            continue
         u, v = _parse_vertex(row[0], i), _parse_vertex(row[1], i)
         if u == v:
             raise ParseError(f"row {i}: self-loop at {u}")
@@ -200,6 +219,11 @@ def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None
             raise ParseError(f"row {i}: bad weight {row[2]!r}: {exc}") from None
         add_arc_value(acc, (u, v), value, semiring)
     acc = _normalized(acc, semiring)
+    if listed:
+        for (u, v) in acc:
+            if u not in listed or v not in listed:
+                raise ParseError(f"arc ({u}, {v}) outside the listed vertex rows")
+        return Digraph(frozenset(listed), acc, semiring)
     top = max((max(u, v) for (u, v) in acc), default=0)
     if n is not None:
         top = max(top, n)

@@ -44,31 +44,85 @@ def bypass(d: Digraph, v: int) -> Digraph:
     return delete_vertices(detour(d, v), [v])
 
 
-def detour_set(d: Digraph, vertices: Iterable[int], debug_check_order: bool = False) -> Digraph:
-    """Fold single-vertex detours over a set, in ascending vertex order.
+def _fold_detours(
+    d: Digraph, vertices: Iterable[int], debug_check_order: bool
+) -> tuple[list[int], dict[tuple[int, int], object]]:
+    """The dropped vertices, ascending, and the arcs after detouring at each in turn.
 
-    Single detours commute, so the order is only a convention;
-    ``debug_check_order`` re-runs the fold in descending order and verifies
-    both agree.
+    Successor and predecessor sets are built once and rewired in place: the
+    detour at v unlinks v from its neighbours, then links every predecessor
+    to every distinct successor, exactly as ``detour`` does.  As there, an arc
+    a detour inserts carries the semiring's one and every other arc keeps its
+    value.  ``debug_check_order`` compares the result with the per-vertex
+    ``detour`` fold in descending order.
     """
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)
-    out = d
+    if vs:  # the empty set is the identity on any semiring
+        d.require_boolean()
+    one = d.semiring.one
+    succ: dict[int, set[int]] = {v: set() for v in d.vertices}
+    pred: dict[int, set[int]] = {v: set() for v in d.vertices}
+    # Successors whose arc value is not the one object, until a detour overwrites it.
+    other: dict[int, set[int]] = {}
+    for (x, y), value in d.arcs.items():
+        succ[x].add(y)
+        pred[y].add(x)
+        if value is not one:
+            other.setdefault(x, set()).add(y)
     for v in vs:
-        out = detour(out, v)
+        ps, ss = pred[v], succ[v]
+        pred[v], succ[v] = set(), set()
+        for x in ps:
+            out = succ[x]
+            out.discard(v)
+            out |= ss
+            out.discard(x)
+            if x in other:
+                other[x] -= ss
+        for y in ss:
+            into = pred[y]
+            into.discard(v)
+            into |= ps
+            into.discard(y)
+    arcs = {(x, y): one for x, ys in succ.items() for y in ys}
+    for x, ys in other.items():
+        for y in ys & succ[x]:
+            arcs[(x, y)] = d.arcs[(x, y)]
     if debug_check_order:
         alt = d
         for v in reversed(vs):
             alt = detour(alt, v)
-        if alt != out:
-            raise AssertionError("detour fold is order dependent; invariant broken")
-    return out
+        if alt.arcs != arcs:
+            raise AssertionError("one-pass detour fold differs from the per-vertex fold")
+    return vs, arcs
+
+
+def detour_set(d: Digraph, vertices: Iterable[int], debug_check_order: bool = False) -> Digraph:
+    """Detour at every vertex of a set, in one pass; the set stays, isolated.
+
+    Equal to folding single-vertex detours in ascending vertex order, but the
+    adjacency sets are built once and one ``Digraph`` at the end, so the cost
+    is O(n + m) plus the sum over the set of |pred(v)|·|succ(v)| at v's turn,
+    instead of O(k·m) for k rebuilds.  Single detours commute, so the order
+    is only a convention; ``debug_check_order`` re-runs the per-vertex fold
+    in descending order and verifies both agree.
+    """
+    _, arcs = _fold_detours(d, vertices, debug_check_order)
+    return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
 
 
 def bypass_set(d: Digraph, vertices: Iterable[int], debug_check_order: bool = False) -> Digraph:
-    vs = frozenset(vertices)
-    return delete_vertices(detour_set(d, vs, debug_check_order), vs)
+    """Detour at every vertex of a set, then delete the set, in one pass.
+
+    The survivors' digraph is built straight from the ``detour_set`` fold,
+    which leaves the set isolated, at the same cost.
+    """
+    vs, arcs = _fold_detours(d, vertices, debug_check_order)
+    survivors = d.vertices.difference(vs)
+    merged = {v: m for v, m in d.merged.items() if v in survivors}
+    return Digraph(survivors, arcs, d.semiring, merged)
 
 
 def naive_bypass(d: Digraph, vertices: Iterable[int]) -> Digraph:

@@ -156,6 +156,46 @@ def test_edgelist_round_trip_after_deletion():
     assert parse_digraph(serialize_digraph(b, "edgelist")) == b
 
 
+def test_csv_round_trip_after_deletion():
+    from pathabs import bypass, bypass_set
+
+    d = Digraph.build(4, [(1, 2), (2, 3), (3, 4)])
+    b = bypass(d, 3)  # vertex set now has a gap
+    text = serialize_digraph(b, "csv")
+    assert parse_digraph_csv(text).vertices == {1, 2, 4}
+    assert parse_digraph_csv(text) == b
+    # a larger bypass read back with no n
+    g = Digraph.build(8, [(1, 4), (3, 5), (4, 7), (5, 1), (5, 6), (6, 8), (7, 2), (7, 8)])
+    h = bypass_set(g, {5, 7, 8})
+    assert parse_digraph_csv(serialize_digraph(h, "csv")) == h
+
+
+def test_csv_keeps_isolated_top_vertices():
+    d = Digraph.build(5, [(1, 2)])
+    assert parse_digraph_csv(serialize_digraph(d, "csv")) == d
+    m = Digraph.build(4, {(2, 1): 3}, COUNTING)
+    assert parse_digraph_csv(serialize_digraph(m, "csv"), COUNTING) == m
+    assert parse_digraph_csv(serialize_digraph(Digraph.build(0), "csv")) == Digraph.build(0)
+
+
+def test_csv_without_vertex_rows_still_parses():
+    text = "from,to,value\n1,2,1\n2,3,1\n"
+    assert parse_digraph_csv(text) == Digraph.build(3, [(1, 2), (2, 3)])
+    assert parse_digraph_csv(text, n=5) == Digraph.build(5, [(1, 2), (2, 3)])
+    # files the arcs fully describe are written without vertex rows
+    assert serialize_digraph(Digraph.build(3, [(1, 2), (2, 3)]), "csv") == text
+
+
+def test_csv_vertex_rows_are_checked():
+    assert parse_digraph_csv("from,to,value\n2,,\n5,,\n").vertices == {2, 5}
+    with pytest.raises(ParseError):
+        parse_digraph_csv("from,to,value\n1,,\n1,2,1\n")  # arc leaves the listed set
+    with pytest.raises(ParseError):
+        parse_digraph_csv("from,to,value\n0,,\n")
+    with pytest.raises(ParseError):
+        parse_digraph_csv("from,to,value\n1,,1\n")  # a value with no target
+
+
 def test_compact_ids():
     from pathabs import bypass
 

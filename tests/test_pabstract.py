@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from pathabs import (
     Digraph,
     DigraphError,
     PartialPartition,
+    _kernels,
     bypass,
     bypass_set,
     contract_blocks,
@@ -20,6 +22,7 @@ from pathabs import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
+from pathabs.digraph import delete_vertices
 from pathabs.pabstract import is_path_of, is_walk_of
 from pathabs.partitions import discrete_partition
 
@@ -325,3 +328,96 @@ def test_vertex_out_of_range_errors():
         detour_set(d, {1, 9})
     with pytest.raises(DigraphError):
         naive_bypass(d, {9})
+
+
+def _fold(d, vertices):
+    for v in vertices:
+        d = detour(d, v)
+    return d
+
+
+def _typed(arcs):
+    return {key: (type(value), value) for key, value in arcs.items()}
+
+
+def _set_bypass_corpus(rng):
+    """Random digraphs with a planted 2-cycle and a longer cycle, some contracted.
+
+    Yields each digraph with the drop sets to try: empty, one vertex, half,
+    all, and every vertex of the long cycle but one, so that the cycle runs
+    through the dropped set.
+    """
+    for i in range(150):
+        n = rng.randint(2, 12)
+        arcs = dict(random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5))).arcs)
+        x, y = rng.sample(range(1, n + 1), 2)
+        arcs[(x, y)] = arcs[(y, x)] = 1
+        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            arcs[(x, y)] = 1
+        d = Digraph.build(n, arcs)
+        if i % 3 == 0 and n >= 4:
+            d = contract_blocks(d, [rng.sample(range(1, n + 1), rng.randint(2, 3))])
+            assert d.merged
+        vertices = sorted(d.vertices)
+        on_cycle = [v for v in cycle if v in d.vertices]
+        yield d, [
+            [],
+            [rng.choice(vertices)],
+            rng.sample(vertices, len(vertices) // 2),
+            vertices,
+            on_cycle[1:],
+        ]
+
+
+def test_set_bypass_matches_the_per_vertex_fold(rng):
+    for d, drops in _set_bypass_corpus(rng):
+        for drop in drops:
+            ascending = _fold(d, sorted(drop))
+            descending = _fold(d, sorted(drop, reverse=True))
+            assert ascending == descending
+            assert detour_set(d, drop, debug_check_order=True) == ascending
+            assert bypass_set(d, drop, debug_check_order=True) == delete_vertices(ascending, drop)
+
+
+def test_set_bypass_matches_the_closure_kernel(rng):
+    for d, drops in _set_bypass_corpus(rng):
+        order = sorted(d.vertices)
+        index = {v: i for i, v in enumerate(order)}
+        a = np.zeros((len(order), len(order)), dtype=np.uint8)
+        for x, y in d.arcs:
+            a[index[x], index[y]] = 1
+        for drop in drops:
+            keep, sub = _kernels.bypass_closure(a, np.asarray([index[v] for v in drop], dtype=np.int64))
+            survivors = [order[i] for i in keep]
+            closure = {(survivors[i], survivors[j]) for i, j in zip(*np.nonzero(sub))}
+            bypassed = bypass_set(d, drop)
+            assert sorted(bypassed.vertices) == survivors
+            assert set(bypassed.arcs) == closure
+            assert set(detour_set(d, drop).arcs) == closure
+
+
+def test_set_bypass_keeps_values_the_fold_keeps():
+    # boolean arcs may hold any nonzero value; a detour writes one where it links
+    d = Digraph(frozenset({1, 2, 3, 4}), {(1, 2): 2, (2, 3): True, (1, 3): 2, (3, 4): True, (4, 1): 1})
+    for drop in ([], [2], [2, 4], [1, 3]):
+        assert _typed(detour_set(d, drop).arcs) == _typed(_fold(d, drop).arcs)
+        expected = delete_vertices(_fold(d, drop), drop)
+        assert _typed(bypass_set(d, drop).arcs) == _typed(expected.arcs)
+
+
+def test_set_bypass_errors_and_empty_set():
+    from pathabs import COUNTING
+
+    d = Digraph.build(3, [(1, 2), (2, 3)])
+    weighted = Digraph.build(3, {(1, 2): 2, (2, 3): 3}, COUNTING)
+    for op in (detour_set, bypass_set):
+        with pytest.raises(DigraphError):
+            op(d, {2, 9})
+        with pytest.raises(DigraphError):
+            op(weighted, {2})
+        # the empty set is the identity on any semiring, merged blocks included
+        assert op(d, set()) == d
+        assert op(weighted, []) == weighted
+        c = contract_blocks(d, [{1, 3}])
+        assert op(c, ()) == c
