@@ -17,6 +17,7 @@ from .digraph import (
     Digraph,
     classify_vertex,
     contract_blocks,
+    delete_vertices,
     enumerate_paths,
     is_acyclic,
     reachability,
@@ -46,13 +47,15 @@ def _require(condition: bool, detail: str):
         raise CheckFailure(detail)
 
 
-def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=None) -> Digraph:
+def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=None, top: int = 3) -> Digraph:
+    """Each ordered pair of 1..n is an arc with probability p; counting arcs
+    get a multiplicity drawn from 1..top, others the value 1."""
     arcs = {}
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             if x != y and rng.random() < p:
                 if semiring is COUNTING:
-                    arcs[(x, y)] = rng.randint(1, 3)
+                    arcs[(x, y)] = rng.randint(1, top)
                 else:
                     arcs[(x, y)] = 1
     return Digraph.build(n, arcs, semiring or REGISTRY["boolean"])
@@ -256,11 +259,29 @@ def check_scc_acyclic(seed: int):
             _require(is_acyclic(detour_set(d, drop)), "detour broke acyclicity")
 
 
+def check_scc_reachability(seed: int):
+    """Strong components against mutual reachability, on vertex ids with gaps."""
+    rng = _stdrandom.Random(seed)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        d = _random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5, 1.0)))
+        d = delete_vertices(d, rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+        reach = reachability(d)
+        expected, placed = [], set()
+        for v in sorted(d.vertices):
+            if v not in placed:
+                comp = frozenset({v} | {w for w in reach[v] if v in reach[w]})
+                expected.append(comp)
+                placed |= comp
+        _require(strongly_connected_components(d) == expected, f"components differ from mutual reach on {d}")
+
+
 SUITES = [
     ("semiring-laws", check_laws),
     ("contraction-order", check_contraction_order),
     ("vertex-classification", check_classification),
     ("scc-acyclicity", check_scc_acyclic),
+    ("scc-reachability", check_scc_reachability),
     ("transitive-reduction", check_transitive_reduction),
     ("detour-commutation", check_detour_commutation),
     ("set-bypass", check_set_bypass),

@@ -13,6 +13,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .semirings import BOOLEAN, SemiringSpec
 
 
@@ -233,54 +235,72 @@ def classify_vertex(d: Digraph, v: int) -> NeighborClassification:
     )
 
 
-def strongly_connected_components(d: Digraph) -> list[frozenset[int]]:
-    """Tarjan's algorithm, iterative; components sorted by smallest member."""
-    adj = d.adjacency()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strong-component label of each vertex 0..n-1 of the arcs ``src[i] -> dst[i]``.
+
+    Tarjan's algorithm, iterative, over CSR successor lists.  Labels number
+    the components 0, 1, ... in the order Tarjan completes them, so every arc
+    between two components runs from the higher label to the lower.  A vertex
+    is on the Tarjan stack exactly when it has an index and no label yet.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    succ = np.asarray(dst, dtype=np.int64)[order].tolist()
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    nxt = start[:-1]
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
     stack: list[int] = []
-    counter = 0
-    components: list[frozenset[int]] = []
-    for root in sorted(d.vertices):
-        if root in index:
+    counter = components = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [root]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+            v = work[-1]
+            i, end = nxt[v], start[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    components.sort(key=min)
-    return components
+            nxt[v] = i
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            work.append(w)
+    return np.array(label, dtype=np.int64)
+
+
+def strongly_connected_components(d: Digraph) -> list[frozenset[int]]:
+    """Strong components from ``scc_labels``, sorted by smallest member."""
+    ids = sorted(d.vertices)
+    pos = {v: i for i, v in enumerate(ids)}
+    src = np.fromiter((pos[x] for x, _ in d.arcs), dtype=np.int64, count=len(d.arcs))
+    dst = np.fromiter((pos[y] for _, y in d.arcs), dtype=np.int64, count=len(d.arcs))
+    groups: dict[int, list[int]] = {}
+    # Ascending ids meet the components in the order of their smallest members.
+    for v, comp in zip(ids, scc_labels(len(ids), src, dst).tolist()):
+        groups.setdefault(comp, []).append(v)
+    return [frozenset(g) for g in groups.values()]
 
 
 def is_acyclic(d: Digraph) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph
+from .digraph import Digraph, scc_labels
 from .partitions import PartialPartition
 
 
@@ -173,12 +173,26 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
+def sample_arcs(model: GnpModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of one draw of the model as 0-based int64 arrays ``(src, dst)``.
+
+    The arc count is Binomial(n(n-1), p), and the arcs are that many distinct
+    ordered pairs chosen uniformly, which is the law of independent coin
+    flips per pair (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).  Pair
+    index ``x*(n-1) + j`` is the arc from x to the j-th other vertex.  Time
+    and memory are linear in the arc count, not in n^2.
+    """
+    pairs = model.n * (model.n - 1)
+    idx = rng.choice(pairs, size=rng.binomial(pairs, model.p), replace=False)
+    src, dst = np.divmod(idx, model.n - 1)
+    dst += dst >= src
+    return src, dst
+
+
 def sample_gnp(model: GnpModel, seed: int) -> Digraph:
     """One realization of the model as a boolean digraph on 1..n."""
-    adj = _kernels.sample_adjacency(model.n, model.p, trial_rng(seed, 0))
-    src, dst = np.nonzero(adj)
-    arcs = {(int(x) + 1, int(y) + 1): 1 for x, y in zip(src, dst)}
-    return Digraph.build(model.n, arcs)
+    src, dst = sample_arcs(model, trial_rng(seed, 0))
+    return Digraph.build(model.n, dict.fromkeys(zip((src + 1).tolist(), (dst + 1).tolist()), 1))
 
 
 @dataclass(frozen=True)
@@ -314,35 +328,27 @@ def renormalization_grid(
 
 def largest_scc_fraction_mc(n: int, c: float, trials: int, seed: int) -> float:
     """Monte Carlo mean of the largest strong-component fraction at density c/n."""
-    from .digraph import strongly_connected_components
-
-    if trials < 1:
-        raise RandomModelError("trials must be >= 1")
-    p = c / n
+    if n < 1:
+        raise RandomModelError("n must be >= 1")
+    if not 0.0 <= c <= n:
+        raise RandomModelError(f"density c/n = {c}/{n} outside [0, 1]")
+    model = GnpModel(n, c / n)
     total = 0.0
-    for t in range(trials):
-        d = _sample_digraph(n, p, seed, t)
-        comps = strongly_connected_components(d)
-        total += max(len(comp) for comp in comps) / n
+    for labels in _scc_labels_per_trial(model, trials, seed):
+        total += int(np.bincount(labels).max()) / n
     return total / trials
 
 
 def strong_connectivity_rate_mc(n: int, p: float, trials: int, seed: int) -> float:
     """Monte Carlo strong-connectivity rate of the model."""
-    from .digraph import strongly_connected_components
-
-    if trials < 1:
-        raise RandomModelError("trials must be >= 1")
-    hits = 0
-    for t in range(trials):
-        d = _sample_digraph(n, p, seed, t)
-        if len(strongly_connected_components(d)) == 1:
-            hits += 1
+    model = GnpModel(n, p)
+    hits = sum(int(labels.max()) == 0 for labels in _scc_labels_per_trial(model, trials, seed))
     return hits / trials
 
 
-def _sample_digraph(n: int, p: float, seed: int, trial: int) -> Digraph:
-    adj = _kernels.sample_adjacency(n, p, trial_rng(seed, trial))
-    src, dst = np.nonzero(adj)
-    arcs = {(int(x) + 1, int(y) + 1): 1 for x, y in zip(src, dst)}
-    return Digraph.build(n, arcs)
+def _scc_labels_per_trial(model: GnpModel, trials: int, seed: int):
+    """Strong-component labels of each trial's draw, one trial at a time."""
+    if trials < 1:
+        raise RandomModelError("trials must be >= 1")
+    for t in range(trials):
+        yield scc_labels(model.n, *sample_arcs(model, trial_rng(seed, t)))

@@ -2,36 +2,13 @@ import random
 
 import pytest
 
-from pathabs import BOOLEAN, COUNTING, Digraph
-
-
-def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
-    arcs = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x != y and rng.random() < p:
-                arcs[(x, y)] = 1
-    return Digraph.build(n, arcs, BOOLEAN)
+from pathabs import COUNTING, Digraph
+from pathabs.checks import _random_dag as random_dag  # noqa: F401
+from pathabs.checks import _random_digraph as random_digraph
 
 
 def random_multigraph(rng: random.Random, n: int, p: float, top: int = 3) -> Digraph:
-    arcs = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x != y and rng.random() < p:
-                arcs[(x, y)] = rng.randint(1, top)
-    return Digraph.build(n, arcs, COUNTING)
-
-
-def random_dag(rng: random.Random, n: int, p: float) -> Digraph:
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    arcs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                arcs[(order[i], order[j])] = 1
-    return Digraph.build(n, arcs, BOOLEAN)
+    return random_digraph(rng, n, p, COUNTING, top)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import importlib.resources as resources
 
+import pytest
+
 from pathabs.cli import main
 
 
@@ -279,6 +281,18 @@ def test_rand_scc(capsys):
     code, out, _ = run_cli(capsys, "rand", "scc", "--c", "2.0")
     assert code == 0
     assert out.startswith("predicted_fraction 0.63")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "0", "--c", "2.0"), ("--n", "3", "--c", "5")],
+    ids=["n-zero", "density-above-one"],
+)
+def test_rand_scc_rejects_bad_model(capsys, argv):
+    code, out, err = run_cli(capsys, "rand", "scc", *argv, "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert "internal error" not in err
 
 
 def test_validation_exit_codes(tmp_path, capsys):

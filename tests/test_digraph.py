@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pathabs import (
@@ -16,7 +17,7 @@ from pathabs import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
-from pathabs.digraph import CyclicGraphError
+from pathabs.digraph import CyclicGraphError, delete_vertices, scc_labels
 from pathabs.pabstract import bypass
 
 from conftest import random_dag, random_digraph
@@ -139,6 +140,59 @@ def test_scc_matches_oracle(rng):
     for _ in range(200):
         d = random_digraph(rng, rng.randint(1, 9), rng.random())
         assert strongly_connected_components(d) == _mutual_reach_oracle(d)
+
+
+def _edge_case_digraphs():
+    yield Digraph.build(0)
+    yield Digraph.build(1)
+    yield Digraph.build(6)
+    for n in (2, 3, 7):
+        yield Digraph.build(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y])
+    yield Digraph.build(5, [(v, v % 5 + 1) for v in range(1, 6)])
+
+
+def _label_components(d):
+    """Components from scc_labels on d's arcs, vertex v as index v - 1."""
+    src = np.array([x - 1 for x, _ in d.arcs], dtype=np.int64)
+    dst = np.array([y - 1 for _, y in d.arcs], dtype=np.int64)
+    labels = scc_labels(d.n, src, dst)
+    assert labels.dtype == np.int64 and labels.shape == (d.n,)
+    # Tarjan completes sink components first: arcs never climb in label.
+    assert all(labels[x] >= labels[y] for x, y in zip(src, dst))
+    groups = {}
+    for v, label in enumerate(labels.tolist(), start=1):
+        groups.setdefault(label, set()).add(v)
+    assert sorted(groups) == list(range(len(groups)))
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def test_scc_labels_match_oracle(rng):
+    cases = list(_edge_case_digraphs())
+    for _ in range(300):
+        cases.append(random_digraph(rng, rng.randint(1, 12), rng.choice((0.05, 0.2, 0.5, rng.random()))))
+    for d in cases:
+        assert _label_components(d) == _mutual_reach_oracle(d)
+
+
+def test_scc_on_vertex_ids_with_gaps(rng):
+    cases = list(_edge_case_digraphs())
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        d = random_digraph(rng, n, rng.choice((0.05, 0.2, 0.5, rng.random())))
+        cases.append(delete_vertices(d, rng.sample(range(1, n + 1), rng.randint(0, n))))
+    for d in cases:
+        assert strongly_connected_components(d) == _mutual_reach_oracle(d)
+    gapped = delete_vertices(Digraph.build(6, [(2, 4), (4, 6), (6, 2), (1, 3)]), [3, 5])
+    assert strongly_connected_components(gapped) == [frozenset({1}), frozenset({2, 4, 6})]
+
+
+def test_scc_labels_on_a_long_cycle():
+    n = 50_000
+    src = np.arange(n, dtype=np.int64)
+    labels = scc_labels(n, src, (src + 1) % n)
+    assert not labels.any()
+    labels = scc_labels(n, src[:-1], src[1:])
+    assert labels.tolist() == list(range(n - 1, -1, -1))
 
 
 def test_is_acyclic():

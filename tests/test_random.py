@@ -19,6 +19,7 @@ from pathabs.random import (
     largest_scc_fraction_mc,
     monte_carlo_abstraction,
     renormalization_grid,
+    sample_arcs,
     sample_gnp,
     strong_connectivity_probability,
     strong_connectivity_rate_mc,
@@ -152,6 +153,79 @@ def test_sample_gnp():
     sigma = math.sqrt(200 * 199 * 0.02 * 0.98)
     assert abs(d.arc_count() - mean) <= 4 * sigma
     assert sample_gnp(GnpModel(50, 0.1), 5) == sample_gnp(GnpModel(50, 0.1), 5)
+
+
+def _arc_pairs(n, p, seed, trial=0):
+    src, dst = sample_arcs(GnpModel(n, p), trial_rng(seed, trial))
+    assert src.dtype == dst.dtype == np.int64
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+def test_sample_arcs_are_distinct_loopless_pairs():
+    for n, p, seed in [(2, 0.5, 1), (7, 0.6, 2), (50, 0.1, 3), (300, 0.02, 4), (1000, 0.002, 5)]:
+        pairs = _arc_pairs(n, p, seed)
+        assert all(0 <= x < n and 0 <= y < n and x != y for x, y in pairs)
+        assert len(set(pairs)) == len(pairs)
+
+
+def test_sample_arcs_small_and_extreme_models():
+    for p in (0.0, 0.5, 1.0):
+        assert _arc_pairs(1, p, 0) == []
+    assert sorted(_arc_pairs(2, 1.0, 0)) == [(0, 1), (1, 0)]
+    assert {len(_arc_pairs(2, 0.5, s)) for s in range(40)} == {0, 1, 2}
+    for n in (2, 5, 30):
+        assert _arc_pairs(n, 0.0, 9) == []
+        assert sorted(_arc_pairs(n, 1.0, 9)) == [(x, y) for x in range(n) for y in range(n) if x != y]
+
+
+def test_sample_arcs_reproducible_per_seed_and_trial():
+    assert _arc_pairs(100, 0.05, 7, 3) == _arc_pairs(100, 0.05, 7, 3)
+    assert _arc_pairs(100, 0.05, 7, 3) != _arc_pairs(100, 0.05, 7, 4)
+    assert _arc_pairs(100, 0.05, 7, 3) != _arc_pairs(100, 0.05, 8, 3)
+
+
+def test_sample_arcs_count_follows_the_binomial_law():
+    n, p, draws = 20, 0.1, 4000
+    counts = np.array([len(_arc_pairs(n, p, 61, t)) for t in range(draws)])
+    mean, var = n * (n - 1) * p, n * (n - 1) * p * (1 - p)
+    assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / draws)
+    # the sample variance of near-normal counts has standard error var*sqrt(2/(draws-1))
+    assert abs(counts.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (draws - 1))
+
+
+def test_sample_arcs_hits_every_pair_with_probability_p():
+    n, p, draws = 6, 0.3, 4000
+    hits = np.zeros((n, n), dtype=np.int64)
+    for t in range(draws):
+        src, dst = sample_arcs(GnpModel(n, p), trial_rng(62, t))
+        hits[src, dst] += 1
+    assert np.diagonal(hits).sum() == 0
+    sigma = math.sqrt(p * (1 - p) / draws)
+    off = ~np.eye(n, dtype=bool)
+    assert off.sum() == 30
+    assert np.all(np.abs(hits[off] / draws - p) <= 4 * sigma)
+
+
+def test_scc_statistics_reject_bad_models():
+    for n, c in [(0, 2.0), (3, 5.0), (10, -1.0), (10, float("nan"))]:
+        with pytest.raises(RandomModelError):
+            largest_scc_fraction_mc(n, c, trials=2, seed=0)
+    for n, p in [(0, 0.5), (5, 1.5), (5, -0.1)]:
+        with pytest.raises(RandomModelError):
+            strong_connectivity_rate_mc(n, p, trials=2, seed=0)
+    with pytest.raises(RandomModelError):
+        largest_scc_fraction_mc(10, 2.0, trials=0, seed=0)
+    with pytest.raises(RandomModelError):
+        strong_connectivity_rate_mc(10, 0.5, trials=0, seed=0)
+
+
+def test_scc_statistics_at_the_extremes():
+    assert largest_scc_fraction_mc(1, 0.0, trials=3, seed=0) == 1.0
+    assert largest_scc_fraction_mc(5, 0.0, trials=3, seed=0) == pytest.approx(0.2)
+    assert largest_scc_fraction_mc(5, 5.0, trials=3, seed=0) == 1.0
+    assert strong_connectivity_rate_mc(1, 0.0, trials=3, seed=0) == 1.0
+    assert strong_connectivity_rate_mc(4, 0.0, trials=3, seed=0) == 0.0
+    assert strong_connectivity_rate_mc(4, 1.0, trials=3, seed=0) == 1.0
 
 
 def test_monte_carlo_deterministic_and_parallel():
