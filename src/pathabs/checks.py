@@ -47,15 +47,15 @@ def _require(condition: bool, detail: str):
         raise CheckFailure(detail)
 
 
-def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=None, top: int = 3) -> Digraph:
+def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=None) -> Digraph:
     """Each ordered pair of 1..n is an arc with probability p; counting arcs
-    get a multiplicity drawn from 1..top, others the value 1."""
+    get a multiplicity drawn from 1..3, others the value 1."""
     arcs = {}
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             if x != y and rng.random() < p:
                 if semiring is COUNTING:
-                    arcs[(x, y)] = rng.randint(1, top)
+                    arcs[(x, y)] = rng.randint(1, 3)
                 else:
                     arcs[(x, y)] = 1
     return Digraph.build(n, arcs, semiring or REGISTRY["boolean"])
