@@ -1,13 +1,15 @@
-"""Dense boolean kernels (NumPy lane) for the Monte Carlo hot path.
+"""Dense boolean kernels for the Monte Carlo hot path, plus the closure oracle.
 
 Adjacency is a 0-indexed uint8 matrix; vertex v of a digraph on 1..n lives at
-row v-1.  ``detour_fold_inplace`` is the function the compiled extension
-overrides; everything else is shared by both lanes.
+row v-1.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Recorded as the lane of a benchmark run (perfbench/run.py).
+IMPLEMENTATION = "numpy"
 
 
 def sample_adjacency(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -33,11 +35,9 @@ def bypass_dense(a: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns (survivor row indices, bypassed adjacency).
     """
-    from . import detour_fold_inplace as fold
-
     a = a.copy()
     drop = np.asarray(sorted(set(int(v) for v in drop)), dtype=np.int64)
-    fold(a, drop)
+    detour_fold_inplace(a, drop)
     keep = np.setdiff1d(np.arange(a.shape[0]), drop)
     return keep, a[np.ix_(keep, keep)]
 

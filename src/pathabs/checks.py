@@ -220,7 +220,7 @@ def check_kernels_agree(seed: int):
         drop = rng.choice(n, size=k, replace=False)
         keep1, b1 = _kernels.bypass_dense(a, drop)
         keep2, b2 = _kernels.bypass_closure(a, drop)
-        _require((keep1 == keep2).all() and (b1 == b2).all(), "kernel lanes disagree")
+        _require((keep1 == keep2).all() and (b1 == b2).all(), "dense fold disagrees with the closure")
 
 
 def check_temporal_sizes(seed: int):
@@ -291,7 +291,7 @@ SUITES = [
     ("partition-adjunction", check_galois),
     ("canonical-idempotence", check_canonical_idempotent),
     ("path-projection", check_path_projection),
-    ("kernel-lanes", check_kernels_agree),
+    ("dense-fold-closure", check_kernels_agree),
     ("temporal-size-identities", check_temporal_sizes),
     ("temporal-commutation", check_temporal_commutation),
 ]

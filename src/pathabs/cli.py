@@ -182,6 +182,7 @@ def _cmd_pabstract(args):
         pi = formats.parse_partition(_read(args.partition), n=max(d.vertices, default=0))
     elif args.labels and args.keep_colors:
         coloring = formats.parse_labels(_read(args.labels))
+        vabstract.ColoredDigraph.from_coloring(d, coloring)  # labels must cover exactly 1..n
         pi = partition_from_labels(coloring, _int_list(args.keep_colors))
     else:
         raise CliError("pass --partition, or --labels with --keep-colors")

@@ -111,15 +111,22 @@ def discrete_partition(n: int) -> PartialPartition:
     return PartialPartition(n, [{v} for v in range(1, n + 1)])
 
 
+def color_blocks(colors: Mapping[int, int], kept: Iterable[int]) -> list[frozenset[int]]:
+    """One block per kept color with nonempty preimage, ordered by color.
+
+    ``colors`` maps each vertex to its color; vertex ids need not be 1..n.
+    """
+    kept = frozenset(kept)
+    blocks: dict[int, set[int]] = {}
+    for v, c in colors.items():
+        if c in kept:
+            blocks.setdefault(c, set()).add(v)
+    return [frozenset(blocks[c]) for c in sorted(blocks)]
+
+
 def partition_from_labels(c: Coloring, colors: Iterable[int]) -> PartialPartition:
     """One block per kept color with nonempty preimage, ordered by color."""
-    kept = sorted(set(colors))
-    blocks = []
-    for color in kept:
-        pre = c.preimage(color)
-        if pre:
-            blocks.append(pre)
-    return PartialPartition(c.n, blocks)
+    return PartialPartition(c.n, color_blocks(dict(enumerate(c.labels, 1)), colors))
 
 
 def refines(a: PartialPartition, b: PartialPartition) -> bool:

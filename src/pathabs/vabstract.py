@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .digraph import Digraph, DigraphError, contract_blocks, induced_subgraph
-from .partitions import Coloring, PartitionError
+from .partitions import Coloring, PartitionError, color_blocks
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,10 @@ def vertex_abstract(cd: ColoredDigraph, keep_colors: Iterable[int]) -> ColoredDi
     per kept color with nonempty preimage, named by the smallest member and
     colored by its class color.
     """
-    kept = frozenset(keep_colors)
-    support = frozenset(v for v, c in cd.colors.items() if c in kept)
-    sub = induced_subgraph(cd.digraph, support)
-    blocks: dict[int, set[int]] = {}
-    for v in support:
-        blocks.setdefault(cd.colors[v], set()).add(v)
-    ordered = [blocks[c] for c in sorted(blocks)]
-    contracted = contract_blocks(sub, ordered)
-    colors = {min(members): color for color, members in blocks.items()}
+    blocks = color_blocks(cd.colors, keep_colors)
+    sub = induced_subgraph(cd.digraph, frozenset().union(*blocks))
+    contracted = contract_blocks(sub, blocks)
+    colors = {min(b): cd.colors[min(b)] for b in blocks}
     return ColoredDigraph(contracted, colors)
 
 
@@ -100,20 +95,9 @@ def block_contraction_morphism(
     target = vertex_abstract(cd, wide)
     vertex_map = {v: v for v in source.digraph.vertices}
     collapse: dict[int, int] = {}
-    pi = partition_from_labels_mapping(cd, wide)
-    for block in pi:
-        rep = min(block)
-        for v in block:
-            collapse[v] = rep
+    for block in color_blocks(cd.colors, wide):
+        collapse.update(dict.fromkeys(block, min(block)))
     return AbstractionMorphism(source, target, vertex_map, collapse)
-
-
-def partition_from_labels_mapping(cd: ColoredDigraph, colors: frozenset[int]) -> list[frozenset[int]]:
-    blocks: dict[int, set[int]] = {}
-    for v, c in cd.colors.items():
-        if c in colors:
-            blocks.setdefault(c, set()).add(v)
-    return [frozenset(blocks[c]) for c in sorted(blocks)]
 
 
 def compose_morphisms(

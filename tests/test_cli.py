@@ -174,6 +174,29 @@ def test_vabstract_subcommand(tmp_path, capsys):
     assert payload["colors"] == {"1": 1, "2": 2}
 
 
+@pytest.mark.parametrize("command", ["pabstract", "vabstract"])
+@pytest.mark.parametrize(
+    "labels, keep",
+    [
+        ("1 1\n2 2\n", "1,2"),  # vertices 3 and 4 unlabelled
+        ("1 1\n2 2\n3 1\n4 3\n5 2\n", "2"),  # vertex 5 not in the digraph
+        ("1 1\n2 2\n3 1\n4 3\n5 2\n", "1"),
+    ],
+    ids=["missing", "extra-unkept", "extra-kept"],
+)
+def test_label_file_must_cover_the_vertex_set(tmp_path, capsys, command, labels, keep):
+    graph = tmp_path / "d.edges"
+    graph.write_text("1 2\n2 3\n3 4\n")
+    label_file = tmp_path / "l.txt"
+    label_file.write_text(labels)
+    code, out, err = run_cli(
+        capsys, command, "--graph", str(graph), "--labels", str(label_file), "--keep-colors", keep
+    )
+    assert code == 1
+    assert out == ""
+    assert "coloring length must match a digraph on 1..n" in err
+
+
 def test_dtcn_subcommands(tmp_path, capsys):
     contacts = _fixture_path("handoff.csv")
     code, out, _ = run_cli(capsys, "dtcn", "fiber", "--contacts", contacts, "--vertex", "4")

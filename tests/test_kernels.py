@@ -1,7 +1,6 @@
 import numpy as np
 
 from pathabs import Digraph, _kernels, bypass_set, detour_set
-from pathabs._kernels import dense
 
 
 def _to_digraph(a: np.ndarray) -> Digraph:
@@ -17,27 +16,18 @@ def test_sample_adjacency_deterministic():
     assert a.diagonal().sum() == 0
 
 
-def test_selected_lane_matches_numpy_lane():
-    rng = np.random.default_rng(123)
-    for _ in range(150):
-        n = int(rng.integers(2, 12))
-        a = _kernels.sample_adjacency(n, float(rng.random()), rng)
-        k = int(rng.integers(1, n + 1))
-        order = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-        selected = a.copy()
-        _kernels.detour_fold_inplace(selected, order)
-        fallback = a.copy()
-        dense.detour_fold_inplace(fallback, order)
-        assert (selected == fallback).all()
-
-
-def test_fold_matches_closure():
+def _fold_closure_cases():
     rng = np.random.default_rng(321)
     for _ in range(150):
         n = int(rng.integers(2, 12))
         a = _kernels.sample_adjacency(n, float(rng.random()), rng)
         k = int(rng.integers(1, n + 1))
-        drop = rng.choice(n, size=k, replace=False)
+        yield a, rng.choice(n, size=k, replace=False)
+    yield _kernels.sample_adjacency(25, 0.3, np.random.default_rng(1)), np.arange(5)
+
+
+def test_fold_matches_closure():
+    for a, drop in _fold_closure_cases():
         keep1, b1 = _kernels.bypass_dense(a, drop)
         keep2, b2 = _kernels.bypass_closure(a, drop)
         assert (keep1 == keep2).all()
@@ -71,30 +61,3 @@ def test_inplace_contract():
     a[0, 1] = a[1, 2] = 1
     _kernels.detour_fold_inplace(a, np.asarray([1], dtype=np.int64))
     assert a[0, 2] == 1 and a[0, 1] == 0 and a[1, 2] == 0
-
-
-def test_lane_is_reported():
-    assert _kernels.IMPLEMENTATION in ("cython", "numpy")
-
-
-def test_fallback_lane_selected_via_env():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PATHABS_NO_FAST="1")
-    probe = (
-        "import numpy as np\n"
-        "from pathabs import _kernels\n"
-        "assert _kernels.IMPLEMENTATION == 'numpy', _kernels.IMPLEMENTATION\n"
-        "a = _kernels.sample_adjacency(25, 0.3, np.random.default_rng(1))\n"
-        "keep, out = _kernels.bypass_dense(a, np.arange(5))\n"
-        "keep2, out2 = _kernels.bypass_closure(a, np.arange(5))\n"
-        "assert (out == out2).all()\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"

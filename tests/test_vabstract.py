@@ -1,6 +1,7 @@
 import pytest
 
 from pathabs import Coloring, Digraph
+from pathabs.digraph import delete_vertices
 from pathabs.partitions import PartitionError
 from pathabs.vabstract import (
     ColoredDigraph,
@@ -154,3 +155,29 @@ def test_abstraction_respects_original_arcs(rng):
             bx, by = out.digraph.members_of(x), out.digraph.members_of(y)
             if any(d.has_arc(a, b) for a in bx for b in by):
                 assert out.digraph.has_arc(x, y)
+
+
+def test_abstraction_with_gapped_vertex_ids(rng):
+    # vertex ids with gaps, as delete_vertices leaves them
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        drop = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        d = delete_vertices(random_digraph(rng, n, 0.4), drop)
+        cd = ColoredDigraph(d, {v: rng.randint(1, 4) for v in sorted(d.vertices)})
+        wide = {c for c in range(1, 5) if rng.random() < 0.7}
+        small = {c for c in wide if rng.random() < 0.5}
+        classes: dict[int, set[int]] = {}
+        for v, c in cd.colors.items():
+            if c in wide:
+                classes.setdefault(c, set()).add(v)
+        out = vertex_abstract(cd, wide)
+        assert out.colors == {min(b): c for c, b in classes.items()}
+        for rep in out.digraph.vertices:
+            assert out.digraph.members_of(rep) == classes[out.colors[rep]]
+        for x in out.digraph.vertices:
+            for y in out.digraph.vertices - {x}:
+                bx, by = out.digraph.members_of(x), out.digraph.members_of(y)
+                assert out.digraph.has_arc(x, y) == any(d.has_arc(a, b) for a in bx for b in by)
+        m = block_contraction_morphism(cd, small, wide)
+        assert m.target == out
+        assert m.collapse_map == {v: min(b) for b in classes.values() for v in b}
