@@ -1,7 +1,10 @@
-"""Dense boolean kernels for the Monte Carlo hot path, plus the closure oracle.
+"""Dense boolean reference kernels: a sampler, the detour fold and the closure oracle.
 
-Adjacency is a 0-indexed uint8 matrix; vertex v of a digraph on 1..n lives at
-row v-1.
+These are references for tests, checks and the benchmark's per-layer probes,
+not the Monte Carlo hot path: ``random.monte_carlo_abstraction`` draws arcs
+with ``random.sample_arcs`` and abstracts them with
+``random.abstraction_pairs``, with no n×n matrix.  Adjacency is a 0-indexed
+uint8 matrix; vertex v of a digraph on 1..n lives at row v-1.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .partitions import (
     drop_element,
     refines,
 )
+from .random import abstraction_pairs
 from .semirings import COUNTING, REGISTRY, check_semiring_laws
 from .temporal import build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
 from .weighted import detours_commute, double_detour, weighted_detour
@@ -223,6 +224,39 @@ def check_kernels_agree(seed: int):
         _require((keep1 == keep2).all() and (b1 == b2).all(), "dense fold disagrees with the closure")
 
 
+def check_mc_core_closure(seed: int):
+    """The Monte Carlo core's block pairs against a closure bypass followed by ``contract_blocks``.
+
+    Cases cycle through an empty drop set, exactly two survivors and a random
+    split; every other case plants a cycle through the dropped set, and the
+    density runs over 0, 1 and values between.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(150):
+        n = int(rng.integers(2, 13))
+        a = (rng.random((n, n)) < float(rng.choice((0.0, 0.15, 0.35, 1.0)))).astype(np.uint8)
+        order = rng.permutation(n)
+        kept, drop = np.split(order, [(n, 2, int(rng.integers(2, n + 1)))[case % 3]])
+        if case % 2 and len(drop) > 1:
+            a[drop, np.roll(drop, 1)] = 1
+        np.fill_diagonal(a, 0)
+        sizes = np.cumsum(rng.integers(1, 4, size=len(kept)))
+        blocks = np.split(kept, sizes[sizes < len(kept)])
+        block_of = np.full(n, -1, dtype=np.int64)
+        for j, b in enumerate(blocks):
+            block_of[b] = j
+        m = len(blocks)
+        src, dst = np.nonzero(a)
+        got = abstraction_pairs(src.astype(np.int64), dst.astype(np.int64), block_of, m).tolist()
+        keep, sub = _kernels.bypass_closure(a, drop)
+        arcs = {(int(keep[x]) + 1, int(keep[y]) + 1): 1 for x, y in zip(*np.nonzero(sub))}
+        members = [{int(v) + 1 for v in b} for b in blocks]
+        contracted = contract_blocks(Digraph(frozenset(int(v) + 1 for v in keep), arcs), members)
+        index = {min(b): j for j, b in enumerate(members)}
+        expected = sorted(index[x] * m + index[y] for x, y in contracted.arcs)
+        _require(got == expected, f"core pairs {got} differ from the closure's {expected} on {a.tolist()}")
+
+
 def check_temporal_sizes(seed: int):
     for t in range(100):
         d = sample_dtcn(6, 0.25, "uniform", seed + t, max_retries=5)
@@ -292,6 +326,7 @@ SUITES = [
     ("canonical-idempotence", check_canonical_idempotent),
     ("path-projection", check_path_projection),
     ("dense-fold-closure", check_kernels_agree),
+    ("mc-core-closure", check_mc_core_closure),
     ("temporal-size-identities", check_temporal_sizes),
     ("temporal-commutation", check_temporal_commutation),
 ]

@@ -180,7 +180,7 @@ def _cmd_pabstract(args):
     d = _load_graph(args, config)
     if args.partition:
         pi = formats.parse_partition(_read(args.partition), n=max(d.vertices, default=0))
-    elif args.labels and args.keep_colors:
+    elif args.labels and args.keep_colors is not None:
         coloring = formats.parse_labels(_read(args.labels))
         vabstract.ColoredDigraph.from_coloring(d, coloring)  # labels must cover exactly 1..n
         pi = partition_from_labels(coloring, _int_list(args.keep_colors))
@@ -260,7 +260,13 @@ def _cmd_rand_mc(args):
     rows = ["trial,frequency"]
     rows += [f"{t},{f!r}" for t, f in enumerate(summary.frequencies)]
     _emit("\n".join(rows) + "\n", args)
-    print(f"mean {summary.mean!r} stddev {summary.stddev!r}", file=sys.stderr)
+    m = len(pi.blocks)
+    predicted = randdg.expected_arcs(args.p, args.n, [len(b) for b in pi.blocks]) / (m * (m - 1))
+    print(
+        f"mean {summary.mean!r} stddev {summary.stddev!r} "
+        f"stderr {summary.standard_error()!r} predicted {predicted!r}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_rand_renorm(args):

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .digraph import Digraph, scc_labels
 from .partitions import PartialPartition
 
@@ -198,17 +198,98 @@ def sample_gnp(model: GnpModel, seed: int) -> Digraph:
 
 @dataclass(frozen=True)
 class AbstractionFrequencies:
-    """Per-trial arc frequencies of sampled abstractions, plus pair detail."""
+    """Per-trial arc frequencies of sampled abstractions, plus a block-pair tally.
+
+    ``representatives[j]`` is the smallest vertex of block j.  The tally holds
+    the ids ``j*m + k`` of the ordered block pairs that some trial's
+    abstraction had, ascending, in ``pairs``, and the number of trials that
+    had each in ``pair_counts``; both are read-only, and their size follows
+    the pairs observed, not m².  ``pair_frequency`` maps every ordered pair of
+    representatives, zero-count pairs included, to ``count / trials``; it is
+    built on first read and cached.  Equality compares the fields, tally
+    included, and never the cache.
+    """
 
     model: GnpModel
     trials: int
     frequencies: tuple[float, ...]
     mean: float
     stddev: float
-    pair_frequency: dict[tuple[int, int], float]
+    representatives: tuple[int, ...]
+    pairs: np.ndarray
+    pair_counts: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, AbstractionFrequencies):
+            return NotImplemented
+        head = (self.model, self.trials, self.frequencies, self.mean, self.stddev, self.representatives)
+        return (
+            head == (other.model, other.trials, other.frequencies, other.mean, other.stddev, other.representatives)
+            and np.array_equal(self.pairs, other.pairs)
+            and np.array_equal(self.pair_counts, other.pair_counts)
+        )
 
     def standard_error(self) -> float:
         return self.stddev / math.sqrt(self.trials)
+
+    @cached_property
+    def pair_frequency(self) -> dict[tuple[int, int], float]:
+        """Frequency of each ordered block pair, keyed by representatives, j then k."""
+        reps = self.representatives
+        m = len(reps)
+        table = np.zeros(m * m, dtype=np.int64)
+        table[self.pairs] = self.pair_counts
+        # Python ints divide to the same correctly rounded double as numpy would.
+        table = table.tolist()
+        return {
+            (reps[j], reps[k]): table[j * m + k] / self.trials
+            for j in range(m)
+            for k in range(m)
+            if j != k
+        }
+
+
+def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m: int) -> np.ndarray:
+    """Ascending ids ``j*m + k`` of the arcs of one path abstraction.
+
+    The digraph has the 0-based arcs ``src[i] -> dst[i]``; ``block_of[v]`` is
+    the block (0..m-1) of vertex v, or -1 for a dropped vertex.  Block j gets
+    an arc to block k != j when a member of j reaches a member of k directly
+    or through dropped vertices only.  The subgraph induced on the dropped set
+    is condensed with ``scc_labels``; each component gets a bool row of the
+    blocks it exits to, and a pass in ascending label order ORs in the rows of
+    its successors, which an arc between components never labels higher.  An
+    entry arc from block j into a component then yields j -> k for every k in
+    the component's row.  Time and memory are linear in the arc count, plus
+    one byte per component and block for the rows.
+    """
+    bs, bd = block_of[src], block_of[dst]
+    direct = (bs >= 0) & (bd >= 0) & (bs != bd)
+    ids = [bs[direct] * m + bd[direct]]
+    exits = (bs < 0) & (bd >= 0)
+    entries = (bs >= 0) & (bd < 0)
+    if exits.any() and entries.any():
+        dropped = np.flatnonzero(block_of < 0)
+        pos = np.empty(len(block_of), dtype=np.int64)
+        pos[dropped] = np.arange(len(dropped))
+        inner = (bs < 0) & (bd < 0)
+        label = scc_labels(len(dropped), pos[src[inner]], pos[dst[inner]])
+        reach = np.zeros((int(label.max()) + 1, m), dtype=bool)
+        reach[label[pos[src[exits]]], bd[exits]] = True
+        cs, cd = label[pos[src[inner]]], label[pos[dst[inner]]]
+        between = cs != cd
+        cs, cd = cs[between], cd[between]
+        order = np.argsort(cs, kind="stable")
+        for c, s in zip(cs[order].tolist(), cd[order].tolist()):
+            reach[c] |= reach[s]
+        j = bs[entries]
+        e, k = np.nonzero(reach[label[pos[dst[entries]]]])
+        other = k != j[e]
+        ids.append(j[e][other] * m + k[other])
+    # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's
+    # hash-based np.unique is about fifteen times slower on a few thousand ids.
+    ids = np.sort(np.concatenate(ids))
+    return ids[np.diff(ids, prepend=-1) != 0]
 
 
 def monte_carlo_abstraction(
@@ -220,6 +301,8 @@ def monte_carlo_abstraction(
 ) -> AbstractionFrequencies:
     """Sample the model, path-abstract each draw, record arc frequencies.
 
+    Each trial draws its arcs with ``sample_arcs`` and abstracts them with
+    ``abstraction_pairs``, so time and memory follow the arc count, not n².
     Per-trial generators depend only on (seed, trial index), so any execution
     order or worker count reproduces identical results; aggregation is by
     trial index.
@@ -228,26 +311,16 @@ def monte_carlo_abstraction(
         raise RandomModelError("trials must be >= 1")
     if partition.n != model.n:
         raise RandomModelError("partition ground set must match the model")
-    n = model.n
-    drop = np.asarray(sorted(set(range(1, n + 1)) - set(partition.support)), dtype=np.int64) - 1
-    reps = [min(b) for b in partition.blocks]
     m = len(partition.blocks)
     if m < 2:
         raise RandomModelError("need at least two blocks for arc frequencies")
-    block_of = np.full(n, -1, dtype=np.int64)
+    block_of = np.full(model.n, -1, dtype=np.int64)
     for j, block in enumerate(partition.blocks):
         block_of[[v - 1 for v in block]] = j
 
     def one_trial(t: int) -> tuple[float, np.ndarray]:
         """Frequency and sorted block-pair ids j*m + k of one abstraction."""
-        adj = _kernels.sample_adjacency(n, model.p, trial_rng(seed, t))
-        # The fold zeroes the row and column of every dropped vertex, so each
-        # remaining nonzero joins two survivors, and block_of never reads -1.
-        _kernels.detour_fold_inplace(adj, drop)
-        src, dst = np.nonzero(adj)
-        bj, bk = block_of[src], block_of[dst]
-        between = bj != bk
-        pairs = np.unique(bj[between] * m + bk[between])
+        pairs = abstraction_pairs(*sample_arcs(model, trial_rng(seed, t)), block_of, m)
         return len(pairs) / (m * (m - 1)), pairs
 
     if workers and workers > 1:
@@ -259,19 +332,12 @@ def monte_carlo_abstraction(
         results = [one_trial(t) for t in range(trials)]
 
     freqs = tuple(r[0] for r in results)
-    counts = np.bincount(np.concatenate([r[1] for r in results]), minlength=m * m)
-    # Python ints divide to the same correctly rounded double as numpy would,
-    # without a second m*m float array alive beside the dict.
-    table = counts.tolist()
-    pair_freq = {
-        (reps[j], reps[k]): table[j * m + k] / trials
-        for j in range(m)
-        for k in range(m)
-        if j != k
-    }
+    pairs, counts = np.unique(np.concatenate([r[1] for r in results]), return_counts=True)
+    pairs.flags.writeable = counts.flags.writeable = False
     mean = float(np.mean(freqs))
     std = float(np.std(freqs, ddof=1)) if trials > 1 else 0.0
-    return AbstractionFrequencies(model, trials, freqs, mean, std, pair_freq)
+    reps = tuple(min(b) for b in partition.blocks)
+    return AbstractionFrequencies(model, trials, freqs, mean, std, reps, pairs, counts)
 
 
 # -- giant component and renormalization ------------------------------------

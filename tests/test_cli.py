@@ -3,6 +3,7 @@ import importlib.resources as resources
 import pytest
 
 from pathabs.cli import main
+from pathabs.random import expected_arcs
 
 
 def _fixture_path(name: str) -> str:
@@ -197,6 +198,18 @@ def test_label_file_must_cover_the_vertex_set(tmp_path, capsys, command, labels,
     assert "coloring length must match a digraph on 1..n" in err
 
 
+@pytest.mark.parametrize("command", ["pabstract", "vabstract"])
+def test_empty_kept_color_set_gives_the_empty_digraph(tmp_path, capsys, command):
+    graph = tmp_path / "d.edges"
+    graph.write_text("1 2\n2 3\n3 4\n")
+    label_file = tmp_path / "l.txt"
+    label_file.write_text("1 1\n2 2\n3 1\n4 3\n")
+    code, out, err = run_cli(
+        capsys, command, "--graph", str(graph), "--labels", str(label_file), "--keep-colors", ""
+    )
+    assert (code, out, err) == (0, "n 0\n", "")
+
+
 def test_dtcn_subcommands(tmp_path, capsys):
     contacts = _fixture_path("handoff.csv")
     code, out, _ = run_cli(capsys, "dtcn", "fiber", "--contacts", contacts, "--vertex", "4")
@@ -264,7 +277,11 @@ def test_rand_mc_deterministic(capsys):
     assert first.startswith("trial,frequency\n")
     code, second, _ = run_cli(capsys, *args)
     assert first == second
-    assert "mean" in err1
+    fields = err1.split()
+    summary = dict(zip(fields[::2], map(float, fields[1::2])))
+    assert list(summary) == ["mean", "stddev", "stderr", "predicted"]
+    assert summary["stderr"] == pytest.approx(summary["stddev"] / 5**0.5, rel=1e-12)
+    assert summary["predicted"] == pytest.approx(expected_arcs(0.1, 30, [1] * 27) / (27 * 26), rel=1e-12)
 
 
 def test_rand_mc_partition_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The sdist builds from pyproject.toml alone and ships the data files."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -31,3 +32,10 @@ def test_sdist_from_pyproject_alone(tmp_path):
         assert f"src/pathabs/{required}" in names
     assert not [name for name in names if name.endswith((".pyx", ".c"))]
     assert "setup.py" not in names
+
+
+def test_declared_setuptools_floor_is_installable():
+    setuptools = pytest.importorskip("setuptools")
+    floor = re.search(r'"setuptools>=([\d.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    installed = re.match(r"[\d.]*\d", setuptools.__version__).group(0)
+    assert [int(x) for x in floor.split(".")] <= [int(x) for x in installed.split(".")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from pathabs.random import (
     GnpModel,
     RandomModelError,
     abstraction_arc_probability,
+    abstraction_pairs,
     approx_survival_iterate,
     arc_survival,
     arc_survival_iterate,
@@ -276,20 +278,69 @@ def test_monte_carlo_pair_frequencies():
     assert all(0.0 <= f <= 1.0 for f in out.pair_frequency.values())
 
 
+def test_pair_frequency_is_built_on_request_from_the_tally():
+    model = GnpModel(12, 0.08)
+    pi = PartialPartition(12, [{4}, {1, 2}, {7, 9, 10}, {12}])
+    out = monte_carlo_abstraction(model, pi, 9, seed=8)
+    assert "pair_frequency" not in vars(out)
+    assert out.representatives == tuple(min(b) for b in pi.blocks)
+    assert out.pairs.tolist() == sorted(set(out.pairs.tolist()))
+    assert not out.pairs.flags.writeable and not out.pair_counts.flags.writeable
+    table = dict(zip(out.pairs.tolist(), out.pair_counts.tolist()))
+    reps = out.representatives
+    expected = [
+        ((reps[j], reps[k]), table.get(j * 4 + k, 0) / 9) for j in range(4) for k in range(4) if j != k
+    ]
+    assert len(out.pairs) < len(expected)  # zero-count pairs are keys too
+    assert list(out.pair_frequency.items()) == expected
+    assert out.pair_frequency is out.pair_frequency
+    assert out == monte_carlo_abstraction(model, pi, 9, seed=8)
+    assert out != monte_carlo_abstraction(model, pi, 9, seed=9)
+
+
 def test_monte_carlo_pinned_values():
-    # recorded with the dense int64-matmul block merge; the sampled stream
-    # and the merge must reproduce them bit for bit
+    # recorded on the sample_arcs stream; the sampled stream, the
+    # condensation core and the tally must reproduce them bit for bit
     n = 300
     pi = PartialPartition(n, [{v} for v in range(1, 271)])
     out = monte_carlo_abstraction(GnpModel(n, 0.02), pi, 200, seed=707)
-    assert out.mean == 0.04385908026986094
-    assert out.stddev == 0.007102714686792534
+    assert out.mean == 0.04315496351369957
+    assert out.stddev == 0.007338500049739845
     blocks = PartialPartition(60, [set(range(v, v + 3)) for v in range(1, 55, 3)])
     out = monte_carlo_abstraction(GnpModel(60, 0.1), blocks, 16, seed=707)
-    assert out.mean == 0.8200571895424836
-    assert out.stddev == 0.034738398128803055
-    assert sum(out.pair_frequency.values()) == 250.9375
+    assert out.mean == 0.8002450980392157
+    assert out.stddev == 0.0467959706946429
+    assert sum(out.pair_frequency.values()) == 244.875
     assert len(out.pair_frequency) == 306
+
+
+def _random_blocks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
+    """block_of for at least two survivors of 0..n-1 in blocks of 1 to 3; -1 marks a dropped vertex."""
+    kept = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+    block_of = np.full(n, -1, dtype=np.int64)
+    m = i = 0
+    while i < len(kept):
+        size = int(rng.integers(1, 4))
+        block_of[kept[i : i + size]] = m
+        m, i = m + 1, i + size
+    return block_of, m
+
+
+def test_abstraction_pairs_match_the_dense_detour_fold():
+    rng = np.random.default_rng(606)
+    for _ in range(300):
+        n = int(rng.integers(2, 81))
+        adj = _kernels.sample_adjacency(n, float(rng.choice([0.0, 0.02, 0.05, 0.1, 0.3, 1.0])), rng)
+        block_of, m = _random_blocks(rng, n)
+        src, dst = np.nonzero(adj)
+        folded = adj.copy()
+        _kernels.detour_fold_inplace(folded, np.flatnonzero(block_of < 0))
+        fs, fd = np.nonzero(folded)
+        bj, bk = block_of[fs], block_of[fd]
+        between = bj != bk
+        expected = np.unique(bj[between] * m + bk[between])
+        got = abstraction_pairs(src.astype(np.int64), dst.astype(np.int64), block_of, m)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize(
@@ -308,8 +359,7 @@ def test_monte_carlo_matches_dict_lane(blocks):
     out = monte_carlo_abstraction(GnpModel(n, p), pi, trials, seed=seed)
     tally = dict.fromkeys(out.pair_frequency, 0)
     for t in range(trials):
-        adj = _kernels.sample_adjacency(n, p, trial_rng(seed, t))
-        src, dst = np.nonzero(adj)
+        src, dst = sample_arcs(GnpModel(n, p), trial_rng(seed, t))
         d = Digraph.build(n, {(int(x) + 1, int(y) + 1): 1 for x, y in zip(src, dst)})
         abstraction = path_abstract(d, pi)
         assert out.frequencies[t] == abstraction.arc_count() / (m * (m - 1))
@@ -317,6 +367,21 @@ def test_monte_carlo_matches_dict_lane(blocks):
             tally[arc] += 1
     assert len(tally) == m * (m - 1)
     assert out.pair_frequency == {pair: count / trials for pair, count in tally.items()}
+
+
+def test_monte_carlo_memory_follows_the_arcs():
+    # one trial at n=2*10^4, c=2: the dense lane's uint8 matrix alone would
+    # take n^2 = 400 MB, and its float draw 3.2 GB
+    n = 20_000
+    pi = PartialPartition(n, [set(range(v, v + 10)) for v in range(1, 1001, 10)])
+    tracemalloc.start()
+    try:
+        out = monte_carlo_abstraction(GnpModel(n, 2 / n), pi, 1, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert 0.0 < out.mean <= 1.0
 
 
 def _bisect_oracle(c):
