@@ -35,7 +35,7 @@ from .partitions import (
 )
 from .random import abstraction_pairs
 from .semirings import COUNTING, REGISTRY, check_semiring_laws
-from .temporal import build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
+from .temporal import DTCN, build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
 from .weighted import detours_commute, double_detour, weighted_detour
 
 
@@ -280,6 +280,57 @@ def check_temporal_commutation(seed: int):
         _require(left == right, "temporal detour/contract do not commute")
 
 
+def layered_detour_oracle(d: DTCN, drop) -> set[tuple[int, int, float]]:
+    """Bypass drop's layers in the layered digraph with the digraph set bypass;
+    read each cross-vertex arc back as (x, y, later time)."""
+    tg = build_temporal_digraph(d)
+    graph, index = tg.to_digraph()
+    dropped = [i for (v, _), i in index.items() if v in drop]
+    triples = set()
+    for a, b in bypass_set(graph, dropped).arcs:
+        (x, t1), (y, t2) = tg.layers[a - 1], tg.layers[b - 1]
+        if x != y:
+            triples.add((x, y, max(t1, t2)))
+    return triples
+
+
+def equal_time_network(rng: _stdrandom.Random, n: int) -> tuple[DTCN, frozenset[int]]:
+    """Contacts mostly on the grid 0, 0.5, 1 and a drop set of 1..n-1 vertices.
+
+    With two or more dropped vertices, a 2- or 3-cycle through them is planted
+    at one instant, entered at its second vertex and left from its first, so
+    only a walk around the cycle at that instant joins the two.
+    """
+    grid = (0.0, 0.5, 1.0)
+    drop = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+    kept = sorted(set(range(1, n + 1)) - set(drop))
+    triples = {
+        (x, y, rng.choice(grid) if rng.random() < 0.7 else rng.random())
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if x != y and rng.random() < 0.25
+    }
+    if len(drop) > 1:
+        cycle = drop[: rng.choice((2, 3))]
+        tau = rng.choice(grid)
+        triples |= {(a, b, tau) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        triples |= {(rng.choice(kept), cycle[1], tau), (cycle[0], rng.choice(kept), tau)}
+    return DTCN.build(n, triples), frozenset(drop)
+
+
+def check_temporal_layered_oracle(seed: int):
+    """The contact sweep against the layered bypass, with equal-time cycles."""
+    rng = _stdrandom.Random(seed)
+    for _ in range(150):
+        d, drop = equal_time_network(rng, rng.randint(3, 8))
+        got = {(c.source, c.target, c.time) for c in dtcn_detour(d, drop).contacts}
+        expected = layered_detour_oracle(d, drop)
+        _require(
+            got == expected,
+            f"detour of {sorted(drop)} from {d.triples()} differs from the layered bypass on {sorted(got ^ expected)}",
+        )
+
+
 def check_scc_acyclic(seed: int):
     rng = _stdrandom.Random(seed)
     for _ in range(100):
@@ -329,6 +380,7 @@ SUITES = [
     ("mc-core-closure", check_mc_core_closure),
     ("temporal-size-identities", check_temporal_sizes),
     ("temporal-commutation", check_temporal_commutation),
+    ("temporal-layered-oracle", check_temporal_layered_oracle),
 ]
 
 

@@ -7,8 +7,13 @@ contact; time-respecting paths of the network are ordinary paths there.
 
 Detouring a vertex set bypasses all of its layers inside the layered digraph
 and reads each surviving cross-vertex arc back as a contact stamped with the
-later of its two layer times.  Sentinel times are the IEEE infinities; contact
-times must be finite and sentinels are never serialized.
+later of its two layer times.  Inside the dropped layers an arc either climbs
+a fiber, to a strictly later time, or is a contact, at one instant; so every
+cycle stays within one instant, and the detour is one sweep over the contacts
+in descending time that closes each instant's cycles by a small search.  The
+layered digraph itself is built only for inspection and as the test oracle.
+Sentinel times are the IEEE infinities; contact times must be finite and
+sentinels are never serialized.
 """
 
 from __future__ import annotations
@@ -17,11 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .digraph import Digraph
 from .partitions import PartialPartition, PartitionError
-from .random import trial_rng
+from .random import GnpModel, sample_arcs, trial_rng
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -111,87 +114,85 @@ class TemporalDigraph:
 
 
 def build_temporal_digraph(d: DTCN) -> TemporalDigraph:
-    fibers = {v: temporal_fiber(d, v) for v in d.vertices}
-    layers = tuple(sorted((v, t) for v in d.vertices for t in fibers[v]))
-    temporal = set()
-    for v in sorted(d.vertices):
-        fiber = fibers[v]
-        for a, b in zip(fiber, fiber[1:]):
-            temporal.add(((v, a), (v, b)))
+    """All fibers from one sort of the (vertex, time) endpoints plus sentinels.
+
+    Sorted layers of one vertex are its fiber in order, so the temporal arcs
+    are the consecutive layer pairs that share a vertex.
+    """
+    ends = {(v, c.time) for c in d.contacts for v in (c.source, c.target)}
+    sentinels = [(v, t) for v in d.vertices for t in (NEG_INF, POS_INF)]
+    layers = tuple(sorted([*ends, *sentinels]))
+    temporal = frozenset((a, b) for a, b in zip(layers, layers[1:]) if a[0] == b[0])
     spatial = {((c.source, c.time), (c.target, c.time)) for c in d.contacts}
-    return TemporalDigraph(layers, frozenset(spatial), frozenset(temporal))
+    return TemporalDigraph(layers, frozenset(spatial), temporal)
 
 
 def _detour_triples(d: DTCN, drop: frozenset[int]) -> set[tuple[int, int, float]]:
     """Cross-vertex arcs of the layered digraph after bypassing drop's layers.
 
-    Survivor-to-survivor spatial arcs stay; a new arc appears from layer
-    (x, t1) to (y, t2) whenever a path runs from (x, t1) through dropped
-    layers only to (y, t2).  Each arc becomes the triple (x, y, later time).
+    Survivor-to-survivor contacts stay.  An entry contact (x, u, t1) into a
+    dropped u yields (x, y, t2) for every exit contact (w, y, t2) that a path
+    through dropped layers joins it to.  Such a path climbs fibers, which is
+    strictly later, or takes an inner contact, which keeps the time; so t2 >= t1,
+    every cycle lies within one instant, and descending time orders the rest.
+
+    One sweep over the contacts from the latest time to the earliest keeps
+    ``reach[u]``, the exits reachable from u's layer at the current time or
+    later.  At each instant, exits first join their source's reach; then the
+    inner contacts of that instant are closed by a small search, each source
+    taking the union of reach over the dropped vertices it reaches; last,
+    entries emit their triples.
     """
-    fibers = {u: temporal_fiber(d, u) for u in drop}
-    chain_next: dict[tuple[int, float], tuple[int, float]] = {}
-    for u in drop:
-        fiber = fibers[u]
-        for a, b in zip(fiber, fiber[1:]):
-            chain_next[(u, a)] = (u, b)
-    inner_spatial: dict[tuple[int, float], list[tuple[int, float]]] = {}
-    entries: dict[tuple[int, float], list[tuple[int, float]]] = {}
-    exits: dict[tuple[int, float], list[tuple[int, float]]] = {}
     triples: set[tuple[int, int, float]] = set()
+    by_time: dict[float, list[tuple[int, int]]] = {}
     for c in d.contacts:
-        s_in = c.source in drop
-        t_in = c.target in drop
-        if not s_in and not t_in:
-            triples.add((c.source, c.target, c.time))
-        elif s_in and t_in:
-            inner_spatial.setdefault((c.source, c.time), []).append((c.target, c.time))
-        elif not s_in and t_in:
-            entries.setdefault((c.target, c.time), []).append((c.source, c.time))
+        if c.source in drop or c.target in drop:
+            by_time.setdefault(c.time, []).append((c.source, c.target))
         else:
-            exits.setdefault((c.source, c.time), []).append((c.target, c.time))
-
-    reach_cache: dict[tuple[int, float], set[tuple[int, float]]] = {}
-
-    def exits_reachable(start: tuple[int, float]) -> set[tuple[int, float]]:
-        if start in reach_cache:
-            return reach_cache[start]
-        seen = {start}
-        frontier = [start]
-        found: set[tuple[int, float]] = set()
-        while frontier:
-            node = frontier.pop()
-            found.update(exits.get(node, ()))
-            for nxt in inner_spatial.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-            nxt = chain_next.get(node)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        reach_cache[start] = found
-        return found
-
-    for entry_layer, outside_sources in entries.items():
-        for exit_layer in exits_reachable(entry_layer):
-            y, t2 = exit_layer
-            for x, t1 in outside_sources:
-                if x == y:
-                    continue
-                stamp = max(t1, t2)
-                if stamp == NEG_INF:
-                    raise TemporalInvariantError("spatial arc stamped with -inf")
-                triples.add((x, y, stamp))
+            triples.add((c.source, c.target, c.time))
+    reach: dict[int, set[tuple[int, float]]] = {}
+    for tau in sorted(by_time, reverse=True):
+        inner: dict[int, list[int]] = {}
+        entries = []
+        for s, t in by_time[tau]:
+            if t not in drop:
+                reach.setdefault(s, set()).add((t, tau))
+            elif s in drop:
+                inner.setdefault(s, []).append(t)
+            else:
+                entries.append((s, t))
+        for u in inner:
+            seen = {u}
+            stack = [u]
+            while stack:
+                for w in inner.get(stack.pop(), ()):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            # in place is exact: whatever w in seen reaches, u reaches too, so
+            # w's reach, before or after its own closure, lies in u's new one
+            seen.discard(u)
+            found = reach.setdefault(u, set())
+            for w in seen:
+                found.update(reach.get(w, ()))
+        for x, u in entries:
+            for y, t2 in reach.get(u, ()):
+                if t2 < tau:
+                    raise TemporalInvariantError(f"exit at {t2} precedes its entry at {tau}")
+                if y != x:
+                    triples.add((x, y, t2))
     return triples
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
     """Bypass every layer of the dropped vertices; read arcs back as contacts.
 
-    The whole set is bypassed in a single pass over the layered digraph;
-    folding single-vertex detours is a different (noncommuting) operation, so
-    sequencing matters to callers who do it anyway.
+    The whole set is bypassed at once, by one descending-time sweep over the
+    contacts that equals bypassing its layers in the layered digraph: a cycle
+    through dropped layers cannot climb a fiber, which always goes later, so
+    it stays within one instant (see ``_detour_triples``).  Folding
+    single-vertex detours is a different (noncommuting) operation, so
+    sequencing matters to callers who do it.
     """
     drop_set = frozenset(drop)
     extra = drop_set - d.vertices
@@ -260,34 +261,32 @@ def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:
 def sample_dtcn(
     n: int, p: float, mode: str, seed: int, max_retries: int = 0
 ) -> DTCN:
-    """Random contact network on 1..n with times in [0, 1].
+    """Random contact network on 1..n with times uniform in [0, 1].
 
-    ``uniform`` draws each ordered pair with probability p, one contact each;
-    ``poisson`` draws a Poisson(p) count of contacts per ordered pair.  Both
-    have p*n*(n-1) expected contacts.  An empty draw raises unless retries
-    remain.
+    ``uniform`` makes each ordered pair a contact with probability p, drawn
+    sparsely by ``random.sample_arcs``; ``poisson`` draws a Poisson(p*n*(n-1))
+    total and that many ordered pairs with replacement, which is the law of
+    independent Poisson(p) counts per pair.  Both have p*n*(n-1) expected
+    contacts, and time and memory are linear in the contact count.  An empty
+    draw raises unless retries remain.
     """
     if not 0.0 <= p <= 1.0:
         raise TemporalError("p must lie in [0, 1]")
     if mode not in ("uniform", "poisson"):
         raise TemporalError(f"unknown mode {mode!r}; use uniform or poisson")
+    model = GnpModel(n, p)
     for attempt in range(max_retries + 1):
         rng = trial_rng(seed, attempt)
-        triples: list[tuple[int, int, float]] = []
         if mode == "uniform":
-            mask = rng.random((n, n)) < p
-            times = rng.random((n, n))
-            np.fill_diagonal(mask, False)
-            for x, y in zip(*np.nonzero(mask)):
-                triples.append((int(x) + 1, int(y) + 1, float(times[x, y])))
+            src, dst = sample_arcs(model, rng)
         else:
-            counts = rng.poisson(p, size=(n, n))
-            np.fill_diagonal(counts, 0)
-            for x, y in zip(*np.nonzero(counts)):
-                for t in rng.random(int(counts[x, y])):
-                    triples.append((int(x) + 1, int(y) + 1, float(t)))
-        if triples:
-            return DTCN.build(n, triples)
+            total = rng.poisson(p * n * (n - 1))
+            src = rng.integers(0, n, size=total)
+            dst = rng.integers(0, n - 1, size=total)
+            dst += dst >= src
+        if len(src):
+            times = rng.random(len(src))
+            return DTCN.build(n, zip((src + 1).tolist(), (dst + 1).tolist(), times.tolist()))
     raise TemporalError(f"sampled an empty contact network (p={p}); raise max_retries or p")
 
 

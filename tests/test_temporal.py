@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pathabs import Digraph, PartialPartition, bypass_set
+from pathabs.checks import equal_time_network, layered_detour_oracle
 from pathabs.temporal import (
     DTCN,
     Contact,
@@ -17,7 +18,7 @@ from pathabs.temporal import (
     temporal_fiber,
     temporal_path_probability,
 )
-from pathabs.random import trial_rng
+from pathabs.random import GnpModel, RandomModelError, sample_arcs, trial_rng
 
 HANDOFF = DTCN.build(5, [(1, 4, 1), (5, 4, 2), (2, 5, 3), (4, 3, 4)])
 
@@ -60,6 +61,23 @@ def test_layered_size_identities_random():
         assert tg.arc_count == tg.vertex_count - d.n + len(d.contacts)
 
 
+def test_layered_digraph_matches_per_vertex_fibers(rng):
+    for t in range(200):
+        n = rng.randint(1, 8)
+        triples = [
+            (x, y, rng.choice((0.25, 0.5, rng.random())))
+            for x in range(1, n + 1)
+            for y in range(1, n + 1)
+            if x != y and rng.random() < 0.2
+        ]
+        d = DTCN.build(n, triples)
+        fibers = {v: temporal_fiber(d, v) for v in d.vertices}
+        tg = build_temporal_digraph(d)
+        assert tg.layers == tuple(sorted((v, tau) for v, f in fibers.items() for tau in f))
+        assert tg.temporal_arcs == {((v, a), (v, b)) for v, f in fibers.items() for a, b in zip(f, f[1:])}
+        assert tg.spatial_arcs == {((c.source, c.time), (c.target, c.time)) for c in d.contacts}
+
+
 def test_detour_example():
     assert dtcn_detour(HANDOFF, {4, 5}).triples() == [(1, 3, 4.0)]
     assert dtcn_detour(HANDOFF, set()) == HANDOFF
@@ -91,29 +109,45 @@ def test_detour_never_mentions_dropped(rng):
         assert all(c.source not in drop and c.target not in drop for c in out.contacts)
 
 
-def _detour_via_layered_bypass(d: DTCN, drop) -> set:
-    """Independent oracle: literally bypass the layers with the digraph fold."""
-    tg = build_temporal_digraph(d)
-    graph, index = tg.to_digraph()
-    layer_of = {i: layer for layer, i in index.items()}
-    dropped_ids = {i for (v, t), i in index.items() if v in drop}
-    bypassed = bypass_set(graph, dropped_ids)
-    triples = set()
-    for (a, b) in bypassed.arcs:
-        (va, ta), (vb, tb) = layer_of[a], layer_of[b]
-        if va != vb:
-            triples.add((va, vb, max(ta, tb)))
-    return triples
+def _triples(d: DTCN) -> set:
+    return {(c.source, c.target, c.time) for c in d.contacts}
 
 
 def test_detour_matches_layered_oracle(rng):
-    assert _detour_via_layered_bypass(HANDOFF, {4, 5}) == {(1, 3, 4.0)}
+    assert layered_detour_oracle(HANDOFF, {4, 5}) == {(1, 3, 4.0)}
     for t in range(60):
         d = sample_dtcn(6, 0.3, "uniform", 3000 + t, max_retries=5)
         drop = set(rng.sample(sorted(d.vertices), rng.randint(1, 3)))
-        assert set(
-            (c.source, c.target, c.time) for c in dtcn_detour(d, drop).contacts
-        ) == _detour_via_layered_bypass(d, drop)
+        assert _triples(dtcn_detour(d, drop)) == layered_detour_oracle(d, drop)
+    for t in range(300):
+        d, drop = equal_time_network(rng, rng.randint(3, 8))
+        assert _triples(dtcn_detour(d, drop)) == layered_detour_oracle(d, drop), (d.triples(), drop)
+
+
+def test_detour_walks_an_equal_time_cycle():
+    # enter 4 and leave from 3 at 0.5 only around the cycle 3 -> 4 -> 5 -> 3;
+    # 5 also leaves at 1.0, and 4's exit at 0.25 comes before the entry
+    cycle = [(3, 4, 0.5), (4, 5, 0.5), (5, 3, 0.5)]
+    d = DTCN.build(5, [(1, 4, 0.5), *cycle, (3, 2, 0.5), (5, 2, 1.0), (4, 2, 0.25)])
+    assert dtcn_detour(d, {3, 4, 5}).triples() == [(1, 2, 0.5), (1, 2, 1.0)]
+    assert layered_detour_oracle(d, {3, 4, 5}) == {(1, 2, 0.5), (1, 2, 1.0)}
+
+
+def test_detour_matches_layered_oracle_on_a_three_time_grid():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        n = data.draw(st.integers(2, 6))
+        vertex = st.integers(1, n)
+        contact = st.tuples(vertex, vertex, st.sampled_from((0.0, 0.5, 1.0))).filter(lambda c: c[0] != c[1])
+        d = DTCN.build(n, data.draw(st.lists(contact, max_size=14)))
+        drop = data.draw(st.sets(vertex, min_size=1, max_size=n - 1))
+        assert _triples(dtcn_detour(d, drop)) == layered_detour_oracle(d, drop)
+
+    agrees()
 
 
 def test_contract_example():
@@ -162,6 +196,8 @@ def test_sampling():
         sample_dtcn(5, 0.0, "uniform", 0)
     with pytest.raises(TemporalError):
         sample_dtcn(5, 0.1, "gaussian", 0)
+    with pytest.raises(RandomModelError):
+        sample_dtcn(-2, 0.1, "poisson", 0)
     d = sample_dtcn(200, 0.02, "uniform", 8)
     mean = 0.02 * 200 * 199
     sigma = math.sqrt(200 * 199 * 0.02 * 0.98)
@@ -170,6 +206,20 @@ def test_sampling():
     sigma_p = math.sqrt(0.02 * 200 * 199)
     assert abs(len(dp.contacts) - mean) <= 4 * sigma_p
     assert sample_dtcn(30, 0.1, "uniform", 3) == sample_dtcn(30, 0.1, "uniform", 3)
+
+
+def test_sampling_memory_is_linear_in_contacts():
+    import tracemalloc
+
+    for mode in ("uniform", "poisson"):
+        tracemalloc.start()
+        try:
+            d = sample_dtcn(20_000, 1e-4, mode, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 360 bytes per contact; one dense n x n float draw would be 3.2 GB
+        assert peak < 1000 * len(d.contacts), (mode, peak, len(d.contacts))
 
 
 def test_temporal_path_probability():
@@ -197,10 +247,6 @@ def test_two_hop_coherence_rate():
 
 def test_fewer_temporal_contacts_than_bypass_arcs():
     # paired comparison at moderate scale: same sampled arcs, timed vs not
-    import numpy as np
-
-    from pathabs import _kernels
-
     n, p, k, trials = 120, 0.04, 12, 40
     drop = list(range(n - k + 1, n + 1))
     temporal_means = []
@@ -208,18 +254,16 @@ def test_fewer_temporal_contacts_than_bypass_arcs():
     m = n - k
     for t in range(trials):
         rng = trial_rng(707, t)
-        adj = _kernels.sample_adjacency(n, p, rng)
-        times = rng.random((n, n))
-        triples = [
-            (int(x) + 1, int(y) + 1, float(times[x, y])) for x, y in zip(*np.nonzero(adj))
-        ]
+        src, dst = sample_arcs(GnpModel(n, p), rng)
+        times = rng.random(len(src))
+        triples = list(zip((src + 1).tolist(), (dst + 1).tolist(), times.tolist()))
         if not triples:
             continue
         dt = DTCN.build(n, triples)
         out = dtcn_detour(dt, drop)
         temporal_means.append(len(out.contacts) / (m * (m - 1)))
-        _, sub = _kernels.bypass_dense(adj, np.asarray(drop) - 1)
-        digraph_means.append(sub.sum() / (m * (m - 1)))
+        bypassed = bypass_set(Digraph.build(n, {(x, y): 1 for x, y, _ in triples}), drop)
+        digraph_means.append(len(bypassed.arcs) / (m * (m - 1)))
     assert sum(temporal_means) / len(temporal_means) < sum(digraph_means) / len(digraph_means)
 
 
