@@ -24,8 +24,17 @@ from .digraph import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
-from .pabstract import bypass_set, detour, detour_set, is_walk_of, project_path
+from .pabstract import (
+    abstraction_pairs,
+    bypass_set,
+    detour,
+    detour_set,
+    is_walk_of,
+    path_abstract,
+    project_path,
+)
 from .partitions import (
+    PartialPartition,
     all_partial_partitions,
     all_partitions,
     canonicalize,
@@ -33,7 +42,6 @@ from .partitions import (
     drop_element,
     refines,
 )
-from .random import abstraction_pairs
 from .semirings import COUNTING, REGISTRY, check_semiring_laws
 from .temporal import DTCN, build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
 from .weighted import detours_commute, double_detour, weighted_detour
@@ -257,6 +265,36 @@ def check_mc_core_closure(seed: int):
         _require(got == expected, f"core pairs {got} differ from the closure's {expected} on {a.tolist()}")
 
 
+def check_path_abstract_routes(seed: int):
+    """``path_abstract`` against bypass-then-contract and contract-then-bypass.
+
+    Bypasses and disjoint contractions commute, so the one-pass core must equal
+    both two-step routes, ``merged`` included.  Digraphs carry a planted cycle,
+    every other one has a merged block, and vertices are deleted so the ids
+    have gaps; the partition's ground set may run past the largest vertex.
+    """
+    rng = _stdrandom.Random(seed)
+    for case in range(150):
+        n = rng.randint(2, 10)
+        d = _random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+        d = d.with_arcs({**d.arcs, **{(x, y): 1 for x, y in zip(cycle, cycle[1:] + cycle[:1])}})
+        if case % 2 and n >= 4:
+            d = contract_blocks(d, [rng.sample(range(1, n + 1), rng.randint(2, 3))])
+        vertices = sorted(d.vertices)
+        d = delete_vertices(d, rng.sample(vertices, rng.randint(0, len(vertices) - 1)))
+        kept = rng.sample(sorted(d.vertices), rng.randint(0, d.n))
+        cuts = sorted(rng.sample(range(1, len(kept)), rng.randint(0, max(0, len(kept) - 1))))
+        blocks = [set(kept[i:j]) for i, j in zip([0] + cuts, cuts + [len(kept)]) if i < j]
+        outside = d.vertices - set(kept)
+        got = path_abstract(d, PartialPartition(max(d.vertices) + rng.randint(0, 2), blocks))
+        first_bypass = contract_blocks(bypass_set(d, outside), blocks)
+        first_contract = bypass_set(contract_blocks(d, blocks), outside)
+        where = f"blocks {blocks} of {sorted(d.arcs)} (merged {d.merged})"
+        _require(got == first_bypass, f"path_abstract differs from bypass-then-contract at {where}")
+        _require(got == first_contract, f"path_abstract differs from contract-then-bypass at {where}")
+
+
 def check_temporal_sizes(seed: int):
     for t in range(100):
         d = sample_dtcn(6, 0.25, "uniform", seed + t, max_retries=5)
@@ -378,6 +416,7 @@ SUITES = [
     ("path-projection", check_path_projection),
     ("dense-fold-closure", check_kernels_agree),
     ("mc-core-closure", check_mc_core_closure),
+    ("path-abstract-routes", check_path_abstract_routes),
     ("temporal-size-identities", check_temporal_sizes),
     ("temporal-commutation", check_temporal_commutation),
     ("temporal-layered-oracle", check_temporal_layered_oracle),

@@ -78,12 +78,13 @@ class Digraph:
     merged: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        vertices, is_zero = self.vertices, self.semiring.is_zero
         for (x, y), value in self.arcs.items():
             if x == y:
                 raise DigraphError(f"self-loop at {x} (digraphs are loopless)")
-            if x not in self.vertices or y not in self.vertices:
+            if x not in vertices or y not in vertices:
                 raise DigraphError(f"arc ({x}, {y}) leaves the vertex set")
-            if self.semiring.is_zero is not None and self.semiring.is_zero(value):
+            if is_zero is not None and is_zero(value):
                 raise DigraphError(f"arc ({x}, {y}) stores the no-arc value {value!r}")
 
     # -- construction -----------------------------------------------------

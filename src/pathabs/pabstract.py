@@ -6,18 +6,31 @@ additionally deletes v.  Paths between surviving vertices are preserved, and
 the projection that deletes bypassed vertices from path words lands exactly on
 the paths of the bypassed digraph.
 
+A path abstraction bypasses everything outside a partial partition's support
+and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
+on arc arrays: ``path_abstract`` wraps it for a ``Digraph`` and the Monte Carlo
+in ``random`` calls it per trial, so no bypassed fill-in digraph is built.
+``detour_set`` and ``bypass_set`` build the bypass itself.
+
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
+import numpy as np
+
+# contract_blocks is not called here, but stays importable from this module
+# beside classify_vertex and delete_vertices: the benchmark tracer wraps all
+# three at this name.
 from .digraph import (
     Digraph,
     classify_vertex,
     contract_blocks,
     delete_vertices,
+    scc_labels,
 )
 from .partitions import PartialPartition, PartitionError
 
@@ -183,14 +196,79 @@ def is_walk_of(d: Digraph, word: Sequence[int]) -> bool:
     return all(d.has_arc(x, y) for x, y in zip(word, word[1:]))
 
 
+def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m: int) -> np.ndarray:
+    """Ascending ids ``j*m + k`` of the arcs of one path abstraction.
+
+    The digraph has the 0-based arcs ``src[i] -> dst[i]``; ``block_of[v]`` is
+    the block (0..m-1) of vertex v, or -1 for a dropped vertex.  Block j gets
+    an arc to block k != j when a member of j reaches a member of k directly
+    or through dropped vertices only.  The subgraph induced on the dropped set
+    is condensed with ``scc_labels``; each component gets a bool row of the
+    blocks it exits to, and a pass in ascending label order ORs in the rows of
+    its successors, which an arc between components never labels higher.  An
+    entry arc from block j into a component then yields j -> k for every k in
+    the component's row.  Time and memory are linear in the arc count, plus
+    one byte per component and block for the rows.
+    """
+    bs, bd = block_of[src], block_of[dst]
+    direct = (bs >= 0) & (bd >= 0) & (bs != bd)
+    ids = [bs[direct] * m + bd[direct]]
+    exits = (bs < 0) & (bd >= 0)
+    entries = (bs >= 0) & (bd < 0)
+    if exits.any() and entries.any():
+        dropped = np.flatnonzero(block_of < 0)
+        pos = np.empty(len(block_of), dtype=np.int64)
+        pos[dropped] = np.arange(len(dropped))
+        inner = (bs < 0) & (bd < 0)
+        label = scc_labels(len(dropped), pos[src[inner]], pos[dst[inner]])
+        reach = np.zeros((int(label.max()) + 1, m), dtype=bool)
+        reach[label[pos[src[exits]]], bd[exits]] = True
+        cs, cd = label[pos[src[inner]]], label[pos[dst[inner]]]
+        between = cs != cd
+        cs, cd = cs[between], cd[between]
+        order = np.argsort(cs, kind="stable")
+        for c, s in zip(cs[order].tolist(), cd[order].tolist()):
+            reach[c] |= reach[s]
+        j = bs[entries]
+        e, k = np.nonzero(reach[label[pos[dst[entries]]]])
+        other = k != j[e]
+        ids.append(j[e][other] * m + k[other])
+    # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's
+    # hash-based np.unique is about fifteen times slower on a few thousand ids.
+    ids = np.sort(np.concatenate(ids))
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
 def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     """Bypass everything outside the support, then merge the blocks.
 
-    Bypasses and disjoint contractions commute, so contracting first and
-    bypassing after yields the same digraph.
+    One call of ``abstraction_pairs`` on the arcs, renumbered 0..n-1, with no
+    bypassed fill-in digraph in between.  Bypasses and disjoint contractions
+    commute, so the result equals both ``contract_blocks(bypass_set(d,
+    outside), blocks)`` and ``bypass_set(contract_blocks(d, blocks),
+    outside)``: vertices, arcs and ``merged``.  Every arc carries the
+    semiring's one.  On the {0, 1} carrier that is the value every parser
+    produces, and ``True == 1``; only a hand-built arc holding another nonzero
+    value, such as 2, reads 1 here where the two-step route ORs it in.
     """
     d.require_boolean()
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
-    outside = d.vertices - p.support
-    return contract_blocks(bypass_set(d, outside), list(p.blocks))
+    # Vertex ids may have gaps: position in the sorted ids is the 0-based index.
+    ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
+    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))
+    ends = np.searchsorted(ids, ends)
+    m = len(p.blocks)
+    members = np.fromiter(chain.from_iterable(p.blocks), dtype=np.int64)
+    block_of = np.full(d.n, -1, dtype=np.int64)
+    block_of[np.searchsorted(ids, members)] = np.repeat(np.arange(m), [len(b) for b in p.blocks])
+    reps = [min(block) for block in p.blocks]
+    j, k = np.divmod(abstraction_pairs(ends[0::2], ends[1::2], block_of, m), m)
+    rep = np.array(reps, dtype=np.int64)
+    arcs = dict.fromkeys(zip(rep[j].tolist(), rep[k].tolist()), d.semiring.one)
+    merged = {}
+    for r, block in zip(reps, p.blocks):
+        expanded = frozenset().union(*map(d.members_of, block))
+        if expanded != frozenset((r,)):  # singleton blocks are identity merges
+            merged[r] = expanded
+    return Digraph(frozenset(reps), arcs, d.semiring, merged)

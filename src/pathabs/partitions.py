@@ -82,10 +82,7 @@ class PartialPartition:
 
     @property
     def support(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
+        return frozenset().union(*self.blocks)
 
     @property
     def block_count(self) -> int:

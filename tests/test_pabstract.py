@@ -421,3 +421,66 @@ def test_set_bypass_errors_and_empty_set():
         assert op(weighted, []) == weighted
         c = contract_blocks(d, [{1, 3}])
         assert op(c, ()) == c
+
+
+def _partitions(rng, d):
+    """Partial partitions of d's vertices: random blocks of 1 to 3, none, one
+    block, singletons on the merged vertices, and random blocks on a ground set
+    past the largest vertex."""
+    top = max(d.vertices)
+    vertices = sorted(d.vertices)
+    kept = rng.sample(vertices, rng.randint(0, len(vertices)))
+    random_blocks, i = [], 0
+    while i < len(kept):
+        size = rng.randint(1, 3)
+        random_blocks.append(kept[i : i + size])
+        i += size
+    yield PartialPartition(top, random_blocks)
+    yield PartialPartition(top, [])
+    yield PartialPartition(top, [rng.sample(vertices, rng.randint(1, len(vertices)))])
+    yield PartialPartition(top, [{v} for v in d.merged])
+    yield PartialPartition(top + rng.randint(1, 3), random_blocks)
+
+
+def _closure_then_contract(d, outside, blocks):
+    """``_kernels.bypass_closure`` on d's matrix, then ``contract_blocks``."""
+    order = sorted(d.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    a = np.zeros((len(order), len(order)), dtype=np.uint8)
+    for x, y in d.arcs:
+        a[index[x], index[y]] = 1
+    keep, sub = _kernels.bypass_closure(a, np.asarray([index[v] for v in outside], dtype=np.int64))
+    survivors = [order[i] for i in keep]
+    arcs = {(survivors[i], survivors[j]): 1 for i, j in zip(*np.nonzero(sub))}
+    merged = {v: m for v, m in d.merged.items() if v in survivors}
+    return contract_blocks(Digraph(frozenset(survivors), arcs, d.semiring, merged), blocks)
+
+
+def test_path_abstract_matches_both_routes_and_the_closure(rng):
+    cases = 0
+    for d, drops in _set_bypass_corpus(rng):
+        for graph in (d, delete_vertices(d, drops[2])):
+            for p in _partitions(rng, graph):
+                blocks = list(p.blocks)
+                outside = graph.vertices - p.support
+                got = path_abstract(graph, p)
+                assert got == contract_blocks(bypass_set(graph, outside), blocks)
+                assert got == bypass_set(contract_blocks(graph, blocks), outside)
+                assert got == _closure_then_contract(graph, outside, blocks)
+                cases += 1
+    assert cases == 150 * 2 * 5
+
+
+def test_path_abstract_writes_one_on_every_arc():
+    # The two-step route ORs arc values, so 2 | 2 reads 3; the core writes one.
+    d = Digraph(frozenset({1, 2, 3, 4}), {(1, 2): 2, (2, 3): True, (1, 3): 2, (3, 4): True, (4, 1): 1})
+    two_step_values = set()
+    for blocks in ([{1}, {3}], [{1, 2}, {3}], [{1, 3}, {2, 4}], [{1}, {2}, {3}, {4}], [{2, 4}]):
+        outside = d.vertices - set().union(*blocks)
+        two_step = contract_blocks(bypass_set(d, outside), blocks)
+        got = path_abstract(d, PartialPartition(4, blocks))
+        assert set(got.arcs) == set(two_step.arcs)
+        assert _typed(got.arcs) == {arc: (int, 1) for arc in two_step.arcs}
+        assert got.vertices == two_step.vertices and got.merged == two_step.merged
+        two_step_values |= set(_typed(two_step.arcs).values())
+    assert {(int, 2), (int, 3), (bool, True)} <= two_step_values

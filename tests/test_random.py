@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pathabs import Digraph, PartialPartition, _kernels, path_abstract
+from pathabs import Digraph, PartialPartition, _kernels, bypass_set, contract_blocks, path_abstract
+from pathabs.pabstract import abstraction_pairs
 from pathabs.partitions import discrete_partition
 from pathabs.random import (
     GnpModel,
     RandomModelError,
     abstraction_arc_probability,
-    abstraction_pairs,
     approx_survival_iterate,
     arc_survival,
     arc_survival_iterate,
@@ -362,6 +362,8 @@ def test_monte_carlo_matches_dict_lane(blocks):
         src, dst = sample_arcs(GnpModel(n, p), trial_rng(seed, t))
         d = Digraph.build(n, {(int(x) + 1, int(y) + 1): 1 for x, y in zip(src, dst)})
         abstraction = path_abstract(d, pi)
+        # path_abstract runs the same core, so the set bypass is the independent route
+        assert abstraction == contract_blocks(bypass_set(d, d.vertices - pi.support), list(pi.blocks))
         assert out.frequencies[t] == abstraction.arc_count() / (m * (m - 1))
         for arc in abstraction.arcs:
             tally[arc] += 1
