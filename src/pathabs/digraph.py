@@ -72,6 +72,9 @@ class NeighborClassification:
 
 @dataclass(frozen=True)
 class Digraph:
+    """A frozen digraph value, but unhashable: ``arcs`` and ``merged`` are plain
+    dicts, and no caller needs a digraph as a set member or dict key."""
+
     vertices: frozenset[int]
     arcs: Mapping[tuple[int, int], object]
     semiring: SemiringSpec = BOOLEAN

@@ -57,82 +57,66 @@ def bypass(d: Digraph, v: int) -> Digraph:
     return delete_vertices(detour(d, v), [v])
 
 
-def _fold_detours(
-    d: Digraph, vertices: Iterable[int], debug_check_order: bool
-) -> tuple[list[int], dict[tuple[int, int], object]]:
+def _fold_detours(d: Digraph, vertices: Iterable[int], combine=None) -> tuple[list[int], dict]:
     """The dropped vertices, ascending, and the arcs after detouring at each in turn.
 
-    Successor and predecessor sets are built once and rewired in place: the
-    detour at v unlinks v from its neighbours, then links every predecessor
-    to every distinct successor, exactly as ``detour`` does.  As there, an arc
-    a detour inserts carries the semiring's one and every other arc keeps its
-    value.  ``debug_check_order`` compares the result with the per-vertex
-    ``detour`` fold in descending order.
+    Successor and predecessor value maps are built once and rewired in place:
+    the detour at v unlinks v, then sets each arc (x, y) from a predecessor to
+    a distinct successor to ``combine(old, mu(x, v), mu(v, y))``, old being
+    None if absent, and deletes it on None.  By default dict unions write the
+    semiring's one there and every other arc keeps its value, as ``detour`` does.
     """
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)
-    if vs:  # the empty set is the identity on any semiring
+    if vs and combine is None:  # the empty set is the identity on any semiring
         d.require_boolean()
-    one = d.semiring.one
-    succ: dict[int, set[int]] = {v: set() for v in d.vertices}
-    pred: dict[int, set[int]] = {v: set() for v in d.vertices}
-    # Successors whose arc value is not the one object, until a detour overwrites it.
-    other: dict[int, set[int]] = {}
+    succ: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
+    pred: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     for (x, y), value in d.arcs.items():
-        succ[x].add(y)
-        pred[y].add(x)
-        if value is not one:
-            other.setdefault(x, set()).add(y)
+        succ[x][y] = pred[y][x] = value
     for v in vs:
-        ps, ss = pred[v], succ[v]
-        pred[v], succ[v] = set(), set()
+        ps, ss = pred.pop(v), succ.pop(v)  # v stays isolated: nothing links to it again
         for x in ps:
-            out = succ[x]
-            out.discard(v)
-            out |= ss
-            out.discard(x)
-            if x in other:
-                other[x] -= ss
+            del succ[x][v]
         for y in ss:
-            into = pred[y]
-            into.discard(v)
-            into |= ps
-            into.discard(y)
-    arcs = {(x, y): one for x, ys in succ.items() for y in ys}
-    for x, ys in other.items():
-        for y in ys & succ[x]:
-            arcs[(x, y)] = d.arcs[(x, y)]
-    if debug_check_order:
-        alt = d
-        for v in reversed(vs):
-            alt = detour(alt, v)
-        if alt.arcs != arcs:
-            raise AssertionError("one-pass detour fold differs from the per-vertex fold")
-    return vs, arcs
+            del pred[y][v]
+        if combine is None:
+            for ends, others, maps in ((ps, ss, succ), (ss, ps, pred)):
+                ones = dict.fromkeys(others, d.semiring.one)
+                for x in ends:
+                    maps[x].update(ones)
+                    maps[x].pop(x, None)
+            continue
+        for x, a in ps.items():
+            for y, b in ss.items():
+                if x != y:
+                    value = succ[x][y] = pred[y][x] = combine(succ[x].get(y), a, b)
+                    if value is None:
+                        del succ[x][y], pred[y][x]
+    return vs, {(x, y): value for x, ys in succ.items() for y, value in ys.items()}
 
 
-def detour_set(d: Digraph, vertices: Iterable[int], debug_check_order: bool = False) -> Digraph:
+def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, in one pass; the set stays, isolated.
 
     Equal to folding single-vertex detours in ascending vertex order, but the
-    adjacency sets are built once and one ``Digraph`` at the end, so the cost
+    adjacency maps are built once and one ``Digraph`` at the end, so the cost
     is O(n + m) plus the sum over the set of |pred(v)|·|succ(v)| at v's turn,
     instead of O(k·m) for k rebuilds.  Single detours commute, so the order
-    is only a convention; ``debug_check_order`` re-runs the per-vertex fold
-    in descending order and verifies both agree.
+    is only a convention.
     """
-    _, arcs = _fold_detours(d, vertices, debug_check_order)
+    _, arcs = _fold_detours(d, vertices)
     return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
 
 
-def bypass_set(d: Digraph, vertices: Iterable[int], debug_check_order: bool = False) -> Digraph:
+def bypass_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, then delete the set, in one pass.
 
     The survivors' digraph is built straight from the ``detour_set`` fold,
     which leaves the set isolated, at the same cost.
     """
-    vs, arcs = _fold_detours(d, vertices, debug_check_order)
+    vs, arcs = _fold_detours(d, vertices)
     survivors = d.vertices.difference(vs)
     merged = {v: m for v, m in d.merged.items() if v in survivors}
     return Digraph(survivors, arcs, d.semiring, merged)

@@ -110,6 +110,17 @@ def test_bypass_weighted_matches_detour(tmp_path, capsys):
     assert out == "vertices 1 3\n1 3 12\n"
 
 
+def test_detour_refuses_an_order_dependent_weighted_fold(tmp_path, capsys):
+    graph = tmp_path / "w.edges"
+    graph.write_text("1 3 1\n1 5 2\n2 3 2\n3 1 1\n3 5 1\n4 1 3\n4 3 1\n4 5 2\n5 1 3\n5 2 1\n5 4 2\n")
+    code, out, err = run_cli(
+        capsys, "detour", "--graph", str(graph), "--vertices", "1,2,3", "--semiring", "counting"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pathabs: error:") and "{1, 3}" in err
+
+
 def test_json_graph_input(tmp_path, capsys):
     good = tmp_path / "g.json"
     good.write_text(

@@ -39,6 +39,11 @@ def test_no_stored_zero():
         Digraph.build(2, {(1, 2): 0}, COUNTING)
 
 
+def test_digraph_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(FIG_DAG8)
+
+
 def test_contract_path():
     d = Digraph.build(3, [(1, 2), (2, 3)])
     c = contract_blocks(d, [{1, 3}])

@@ -1,17 +1,24 @@
+import re
+from itertools import permutations
+
 import pytest
 
 from pathabs import (
     COUNTING,
+    REAL,
     Digraph,
     DigraphError,
     detour,
     detours_commute,
     double_detour,
+    induced_subgraph,
     is_acyclic,
+    strongly_connected_components,
     weighted_contract_commutes,
     weighted_detour,
     weighted_detour_set,
 )
+from pathabs.semirings import REGISTRY
 from pathabs.weighted import double_detour_entry
 
 from conftest import random_dag, random_digraph, random_multigraph
@@ -168,3 +175,116 @@ def test_detour_set_guard():
     report = detours_commute(ring, 3, 4)
     assert report.commute
     weighted_detour_set(ring, {3, 4})
+
+
+# The fold order matters here: (1, 2, 3) gives 4 -> 5 the value 20, (2, 3, 1) gives 15.
+ORDER_DEPENDENT = Digraph.build(
+    5,
+    {(1, 3): 1, (1, 5): 2, (2, 3): 2, (3, 1): 1, (3, 5): 1, (4, 1): 3,
+     (4, 3): 1, (4, 5): 2, (5, 1): 3, (5, 2): 1, (5, 4): 2},
+    COUNTING,
+)
+
+
+def _weighted_fold(d, order):
+    for v in order:
+        d = weighted_detour(d, v)
+    return d
+
+
+def test_detour_set_refuses_an_order_dependent_fold():
+    folds = {_weighted_fold(ORDER_DEPENDENT, order).value(4, 5) for order in permutations((1, 2, 3))}
+    assert folds == {20, 15}
+    with pytest.raises(DigraphError, match=re.escape("{1, 3}")):
+        weighted_detour_set(ORDER_DEPENDENT, {1, 2, 3})
+    # the cycle {3, 4} is entered and left only through the dropped 2 and 5
+    d = Digraph.build(6, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 3): 1, (3, 5): 1, (5, 6): 1}, COUNTING)
+    assert {_weighted_fold(d, order).value(1, 6) for order in permutations((2, 3, 4, 5))} == {1, 2}
+    with pytest.raises(DigraphError, match=re.escape("{3, 4}")):
+        weighted_detour_set(d, {2, 3, 4, 5})
+
+
+def test_detour_set_real_cancellation_drops_the_arc():
+    d = Digraph.build(5, {(1, 2): 1.0, (2, 4): 1.0, (1, 3): 1.0, (3, 4): -1.0, (4, 5): 2.0}, REAL)
+    # 1 -> 4 sums to zero after detouring 2 and 3, so detouring 4 links nothing
+    assert weighted_detour_set(d, {2, 3}).arcs == {(4, 5): 2.0}
+    assert weighted_detour_set(d, {2, 3, 4}).arcs == {}
+
+
+def _route_sums(d, dropped):
+    """Semiring sum, per survivor pair x != y, of the arc-value products over
+    simple routes x -> (dropped)* -> y, the direct arc included; zero sums are kept."""
+    s, adj, sums = d.semiring, d.adjacency(), {}
+
+    def walk(x, v, product, seen):
+        for w in adj[v]:
+            value = s.mul(product, d.arcs[(v, w)])
+            if w not in dropped:
+                if w != x:
+                    sums[(x, w)] = s.add(sums[(x, w)], value) if (x, w) in sums else value
+            elif w not in seen:
+                walk(x, w, value, seen | {w})
+
+    for x in sorted(d.vertices - dropped):
+        walk(x, x, s.one, frozenset())
+    return sums
+
+
+def _through_dropped(d, dropped, starts, forward):
+    """Dropped vertices reached from ``starts`` along arcs inside ``dropped``."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        v = stack.pop()
+        for x, y in d.arcs:
+            a, b = (x, y) if forward else (y, x)
+            if a == v and b in dropped and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+def test_detour_set_matches_every_order_and_the_route_sums(rng):
+    values = {
+        "boolean": lambda: 1,
+        "counting": lambda: rng.randint(1, 3),
+        "real": lambda: float(rng.choice((-2, -1, 1, 2, 3))),
+        "minplus-nonneg": lambda: float(rng.randint(0, 5)),
+    }
+    for name, s in REGISTRY.items():
+        accepted = refused = cancelled = 0
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            p = rng.choice((0.2, 0.35, 0.5))
+            arcs = {(x, y): values[name]() for x in range(1, n + 1) for y in range(1, n + 1)
+                    if x != y and rng.random() < p}
+            d = Digraph.build(n, arcs, s)
+            dropped = frozenset(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
+            try:
+                out = weighted_detour_set(d, dropped)
+            except DigraphError as error:
+                refused += 1
+                assert s.add(s.one, s.one) != s.one
+                witness = frozenset(map(int, re.search(r"\{([\d, ]+)\}", str(error)).group(1).split(", ")))
+                assert len(witness) > 1
+                assert witness in strongly_connected_components(induced_subgraph(d, dropped))
+                survivors = d.vertices - dropped
+                entries = {y for x, y in d.arcs if x in survivors and y in dropped}
+                exits = {x for x, y in d.arcs if x in dropped and y in survivors}
+                assert witness & _through_dropped(d, dropped, entries, True)
+                assert witness & _through_dropped(d, dropped, exits, False)
+                continue
+            accepted += 1
+            exact = {key: (type(value), repr(value)) for key, value in out.arcs.items()}
+            ascending = _weighted_fold(d, sorted(dropped))
+            assert exact == {key: (type(value), repr(value)) for key, value in ascending.arcs.items()}
+            for order in permutations(dropped):
+                assert _weighted_fold(d, order) == out
+            sums = _route_sums(d, dropped)
+            kept = {key: s.normalize(value) for key, value in sums.items()}
+            cancelled += sum(value is None for value in kept.values())
+            assert out.arcs == {key: value for key, value in kept.items() if value is not None}
+        assert accepted > 100
+        if name == "real":
+            assert cancelled > 0
+        if name in ("counting", "real"):
+            assert refused > 10
