@@ -2,8 +2,15 @@
 
 Exit status: 0 on success, 1 on any validation problem (bad flags, malformed
 files, domain errors), 2 on an internal invariant violation.  Identical
-inputs and seed produce byte-identical output.  The PATHABS_SEED environment
-variable overrides the configured seed.
+inputs and seed produce byte-identical output.
+
+Each subcommand takes only the options it reads.  Those that read a digraph
+take ``--graph`` and ``--semiring``; the file suffix picks the reader
+(``.json``, ``.csv``, otherwise edge list), so every ``--output-format`` reads
+back.  Those that write a digraph take ``--output-format`` and
+``--compact-ids``.  Those that draw random numbers (``rand mc``, ``rand scc``,
+``dtcn sample``, ``check``) take ``--seed``, which the PATHABS_SEED
+environment variable overrides.  All but ``check`` take ``--output``.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import formats, pabstract, temporal, vabstract
@@ -20,14 +26,6 @@ from .digraph import DigraphError, contract_blocks, delete_vertices, enumerate_p
 from .partitions import PartitionError, partition_from_labels
 from .semirings import SemiringError, get_semiring
 from .temporal import TemporalError
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    semiring: str = "boolean"
-    output_format: str = "edgelist"
-    compact_ids: bool = False
 
 
 class CliError(ValueError):
@@ -58,34 +56,33 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_graph_input(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True, help=".json, .csv, or otherwise an edge list")
     p.add_argument("--semiring", default="boolean", help="arc value semiring")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="output file (default stdout)")
+
+
+def _add_graph_output(p: argparse.ArgumentParser):
     p.add_argument("--output-format", default="edgelist", choices=["edgelist", "json", "csv"])
-    p.add_argument("--compact-ids", action="store_true")
+    p.add_argument("--compact-ids", action="store_true", help="renumber the vertices 1..k")
 
 
-def _config(args) -> RunConfig:
-    seed = args.seed
+def _add_seed(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0, help="overridden by PATHABS_SEED")
+
+
+def _seed(args) -> int:
     env = os.environ.get("PATHABS_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise CliError(f"PATHABS_SEED must be an integer, got {env!r}") from None
-    return RunConfig(
-        seed=seed,
-        semiring=getattr(args, "semiring", "boolean"),
-        output_format=getattr(args, "output_format", "edgelist"),
-        compact_ids=getattr(args, "compact_ids", False),
-    )
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"PATHABS_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(text: str, args) -> None:
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -94,11 +91,14 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_graph(args, config: RunConfig):
-    semiring = get_semiring(config.semiring)
-    if not args.graph.endswith(".json"):
-        return formats.parse_digraph(_read(args.graph), semiring)
-    d = formats.parse_digraph_json(_read(args.graph))
+def _load_graph(args):
+    semiring = get_semiring(args.semiring)
+    text, suffix = _read(args.graph), Path(args.graph).suffix
+    if suffix == ".csv":
+        return formats.parse_digraph_csv(text, semiring)
+    if suffix != ".json":
+        return formats.parse_digraph(text, semiring)
+    d = formats.parse_digraph_json(text)
     if d.semiring.name != semiring.name:
         raise CliError(
             f"{args.graph} holds a {d.semiring.name} digraph; pass --semiring {d.semiring.name}"
@@ -106,8 +106,8 @@ def _load_graph(args, config: RunConfig):
     return d
 
 
-def _emit_graph(d, args, config: RunConfig) -> None:
-    _emit(formats.serialize_digraph(d, config.output_format, config.compact_ids), args)
+def _emit_graph(d, args) -> None:
+    _emit(formats.serialize_digraph(d, args.output_format, args.compact_ids), args)
 
 
 def _int_list(text: str) -> list[int]:
@@ -118,9 +118,9 @@ def _int_list(text: str) -> list[int]:
 
 
 def _vertex_args(args) -> list[int]:
-    if getattr(args, "vertices", None):
+    if args.vertices:
         return _int_list(args.vertices)
-    if getattr(args, "vertex", None) is not None:
+    if args.vertex is not None:
         return [args.vertex]
     raise CliError("pass --vertex or --vertices")
 
@@ -129,26 +129,29 @@ def _vertex_args(args) -> list[int]:
 
 
 def _cmd_contract(args):
-    config = _config(args)
-    d = _load_graph(args, config)
+    d = _load_graph(args)
     blocks = formats.parse_partition(_read(args.blocks), n=max(d.vertices, default=0))
-    _emit_graph(contract_blocks(d, list(blocks.blocks)), args, config)
+    _emit_graph(contract_blocks(d, list(blocks.blocks)), args)
 
 
 def _cmd_vabstract(args):
-    config = _config(args)
-    d = _load_graph(args, config)
+    d = _load_graph(args)
     coloring = formats.parse_labels(_read(args.labels))
     cd = vabstract.ColoredDigraph.from_coloring(d, coloring)
     result = vabstract.vertex_abstract(cd, _int_list(args.keep_colors))
-    body = formats.serialize_digraph(result.digraph, config.output_format, config.compact_ids)
-    if config.output_format == "edgelist":
-        body += "".join(f"# color {v} {result.colors[v]}\n" for v in sorted(result.colors))
-    elif config.output_format == "json":
+    body = formats.serialize_digraph(result.digraph, args.output_format, args.compact_ids)
+    # --compact-ids numbers the vertices by rank, so the colors follow suit.
+    colors = {
+        (rank if args.compact_ids else v): result.colors[v]
+        for rank, v in enumerate(sorted(result.colors), start=1)
+    }
+    if args.output_format == "edgelist":
+        body += "".join(f"# color {v} {c}\n" for v, c in colors.items())
+    elif args.output_format == "json":
         import json as _json
 
         payload = _json.loads(body)
-        payload["colors"] = {str(v): result.colors[v] for v in sorted(result.colors)}
+        payload["colors"] = {str(v): c for v, c in colors.items()}
         body = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(body, args)
 
@@ -163,21 +166,18 @@ def _detour_any(d, vs):
 
 
 def _cmd_detour(args):
-    config = _config(args)
-    d = _load_graph(args, config)
-    _emit_graph(_detour_any(d, _vertex_args(args)), args, config)
+    d = _load_graph(args)
+    _emit_graph(_detour_any(d, _vertex_args(args)), args)
 
 
 def _cmd_bypass(args):
-    config = _config(args)
-    d = _load_graph(args, config)
+    d = _load_graph(args)
     vs = _vertex_args(args)
-    _emit_graph(delete_vertices(_detour_any(d, vs), vs), args, config)
+    _emit_graph(delete_vertices(_detour_any(d, vs), vs), args)
 
 
 def _cmd_pabstract(args):
-    config = _config(args)
-    d = _load_graph(args, config)
+    d = _load_graph(args)
     if args.partition:
         pi = formats.parse_partition(_read(args.partition), n=max(d.vertices, default=0))
     elif args.labels and args.keep_colors is not None:
@@ -186,7 +186,7 @@ def _cmd_pabstract(args):
         pi = partition_from_labels(coloring, _int_list(args.keep_colors))
     else:
         raise CliError("pass --partition, or --labels with --keep-colors")
-    _emit_graph(pabstract.path_abstract(d, pi), args, config)
+    _emit_graph(pabstract.path_abstract(d, pi), args)
 
 
 def _cmd_naive_bypass(args):
@@ -195,14 +195,12 @@ def _cmd_naive_bypass(args):
             "naive-bypass reproduces a known-wrong construction; "
             "pass --unsafe-naive to run it anyway"
         )
-    config = _config(args)
-    d = _load_graph(args, config)
-    _emit_graph(pabstract.naive_bypass(d, _int_list(args.vertices)), args, config)
+    d = _load_graph(args)
+    _emit_graph(pabstract.naive_bypass(d, _int_list(args.vertices)), args)
 
 
 def _cmd_paths(args):
-    config = _config(args)
-    d = _load_graph(args, config)
+    d = _load_graph(args)
     result = enumerate_paths(
         d,
         _int_list(args.sources),
@@ -217,7 +215,6 @@ def _cmd_paths(args):
 
 
 def _cmd_rand_stats(args):
-    _config(args)
     sizes = _int_list(args.blocks)
     dropped = args.dropped
     if dropped is None:
@@ -245,7 +242,6 @@ def _cmd_rand_stats(args):
 
 
 def _cmd_rand_mc(args):
-    config = _config(args)
     from .partitions import PartialPartition
 
     if args.partition:
@@ -256,7 +252,7 @@ def _cmd_rand_mc(args):
             raise CliError("--drop must lie in [0, n)")
         pi = PartialPartition(args.n, [{v} for v in range(1, args.n - drop + 1)])
     model = randdg.GnpModel(args.n, args.p)
-    summary = randdg.monte_carlo_abstraction(model, pi, args.trials, config.seed)
+    summary = randdg.monte_carlo_abstraction(model, pi, args.trials, _seed(args))
     rows = ["trial,frequency"]
     rows += [f"{t},{f!r}" for t, f in enumerate(summary.frequencies)]
     _emit("\n".join(rows) + "\n", args)
@@ -270,30 +266,26 @@ def _cmd_rand_mc(args):
 
 
 def _cmd_rand_renorm(args):
-    _config(args)
     rows = randdg.renormalization_grid(args.n, args.c, args.add_log_n, args.n_max)
     body = "N,n,value\n" + "".join(f"{N},{args.n},{value!r}\n" for N, value in rows)
     _emit(body, args)
 
 
 def _cmd_rand_scc(args):
-    config = _config(args)
     lines = [f"predicted_fraction {randdg.giant_scc_fraction(args.c)!r}"]
     if args.trials:
-        emp = randdg.largest_scc_fraction_mc(args.n, args.c, args.trials, config.seed)
+        emp = randdg.largest_scc_fraction_mc(args.n, args.c, args.trials, _seed(args))
         lines.append(f"empirical_fraction {emp!r}")
     _emit("\n".join(lines) + "\n", args)
 
 
 def _cmd_dtcn_fiber(args):
-    _config(args)
     d = formats.parse_contacts(_read(args.contacts))
     fiber = temporal.temporal_fiber(d, args.vertex)
     _emit("\n".join(repr(t) for t in fiber) + "\n", args)
 
 
 def _cmd_dtcn_tgraph(args):
-    _config(args)
     import json as _json
 
     d = formats.parse_contacts(_read(args.contacts))
@@ -314,7 +306,6 @@ def _cmd_dtcn_tgraph(args):
 
 
 def _cmd_dtcn_detour(args):
-    _config(args)
     d = formats.parse_contacts(_read(args.contacts))
     for a, b in temporal.lint_equal_time_chains(d):
         print(f"warning: equal-time chain {a} -> {b}", file=sys.stderr)
@@ -323,7 +314,6 @@ def _cmd_dtcn_detour(args):
 
 
 def _cmd_dtcn_abstract(args):
-    _config(args)
     d = formats.parse_contacts(_read(args.contacts))
     pi = formats.parse_partition(_read(args.partition), n=max(d.vertices))
     out = temporal.dtcn_path_abstract(d, pi)
@@ -331,16 +321,14 @@ def _cmd_dtcn_abstract(args):
 
 
 def _cmd_dtcn_sample(args):
-    config = _config(args)
-    out = temporal.sample_dtcn(args.n, args.p, args.mode, config.seed, args.max_retries)
+    out = temporal.sample_dtcn(args.n, args.p, args.mode, _seed(args), args.max_retries)
     _emit(formats.serialize_contacts(out), args)
 
 
 def _cmd_check(args):
     from .checks import run_checks
 
-    config = _config(args)
-    failures = run_checks(seed=config.seed, out=sys.stdout)
+    failures = run_checks(seed=_seed(args), out=sys.stdout)
     if failures:
         raise SystemExit(2)
 
@@ -348,133 +336,116 @@ def _cmd_check(args):
 # -- parser wiring ------------------------------------------------------------
 
 
+def _command(subparsers, name: str, func, help: str, *options):
+    """A subcommand that writes to ``--output``, with the option groups it reads."""
+    p = subparsers.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--output", default=None, help="output file (default stdout)")
+    for add in options:
+        add(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pathabs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_io = (_add_graph_input, _add_graph_output)
 
-    p = sub.add_parser("contract", help="merge vertex blocks")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "contract", _cmd_contract, "merge vertex blocks", *graph_io)
     p.add_argument("--blocks", required=True, help="partition file, one block per line")
-    p.set_defaults(func=_cmd_contract)
 
-    p = sub.add_parser("vabstract", help="keep chosen colors, merge same-colored vertices")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(
+        sub, "vabstract", _cmd_vabstract, "keep chosen colors, merge same-colored vertices",
+        *graph_io,
+    )
     p.add_argument("--labels", required=True)
     p.add_argument("--keep-colors", required=True)
-    p.set_defaults(func=_cmd_vabstract)
 
-    p = sub.add_parser("detour", help="rewire around vertices, keeping them")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "detour", _cmd_detour, "rewire around vertices, keeping them", *graph_io)
     p.add_argument("--vertex", type=int)
     p.add_argument("--vertices")
-    p.set_defaults(func=_cmd_detour)
 
-    p = sub.add_parser("bypass", help="detour then delete")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "bypass", _cmd_bypass, "detour then delete", *graph_io)
     p.add_argument("--vertex", type=int)
     p.add_argument("--vertices")
-    p.set_defaults(func=_cmd_bypass)
 
-    p = sub.add_parser("pabstract", help="bypass outside a partition, contract its blocks")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(
+        sub, "pabstract", _cmd_pabstract, "bypass outside a partition, contract its blocks",
+        *graph_io,
+    )
     p.add_argument("--partition")
     p.add_argument("--labels")
     p.add_argument("--keep-colors")
-    p.set_defaults(func=_cmd_pabstract)
 
-    p = sub.add_parser("naive-bypass", help="the known-wrong bypass, for comparison only")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(
+        sub, "naive-bypass", _cmd_naive_bypass, "the known-wrong bypass, for comparison only",
+        *graph_io,
+    )
     p.add_argument("--vertices", required=True)
     p.add_argument("--unsafe-naive", action="store_true")
-    p.set_defaults(func=_cmd_naive_bypass)
 
-    p = sub.add_parser("paths", help="simple paths between vertex sets")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "paths", _cmd_paths, "simple paths between vertex sets", _add_graph_input)
     p.add_argument("--from", dest="sources", required=True)
     p.add_argument("--to", dest="targets", required=True)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--max-count", type=int, default=10**6)
-    p.set_defaults(func=_cmd_paths)
 
     rand = sub.add_parser("rand", help="random digraph statistics")
     randsub = rand.add_subparsers(dest="rand_command", required=True)
 
-    p = randsub.add_parser("stats", help="closed-form expected arcs of an abstraction")
-    _add_common(p)
+    p = _command(randsub, "stats", _cmd_rand_stats, "closed-form expected arcs of an abstraction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--blocks", required=True, help="comma-separated block sizes")
     p.add_argument("--dropped", type=int, default=None)
-    p.set_defaults(func=_cmd_rand_stats)
 
-    p = randsub.add_parser("mc", help="Monte Carlo abstraction frequencies")
-    _add_common(p)
+    p = _command(randsub, "mc", _cmd_rand_mc, "Monte Carlo abstraction frequencies", _add_seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--drop", type=int, default=None, help="bypass this many vertices")
     p.add_argument("--partition", default=None)
-    p.set_defaults(func=_cmd_rand_mc)
 
-    p = randsub.add_parser("renorm", help="log[(n-N) * iterated survival] grid")
-    _add_common(p)
+    p = _command(randsub, "renorm", _cmd_rand_renorm, "log[(n-N) * iterated survival] grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--add-log-n", action="store_true")
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=_cmd_rand_renorm)
 
-    p = randsub.add_parser("scc", help="giant strong component prediction vs sampling")
-    _add_common(p)
+    p = _command(
+        randsub, "scc", _cmd_rand_scc, "giant strong component prediction vs sampling", _add_seed
+    )
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--trials", type=int, default=0)
-    p.set_defaults(func=_cmd_rand_scc)
 
     dt = sub.add_parser("dtcn", help="directed temporal contact networks")
     dtsub = dt.add_subparsers(dest="dtcn_command", required=True)
 
-    p = dtsub.add_parser("fiber", help="contact times at a vertex, with sentinels")
-    _add_common(p)
+    p = _command(dtsub, "fiber", _cmd_dtcn_fiber, "contact times at a vertex, with sentinels")
     p.add_argument("--contacts", required=True)
     p.add_argument("--vertex", type=int, required=True)
-    p.set_defaults(func=_cmd_dtcn_fiber)
 
-    p = dtsub.add_parser("tgraph", help="layered temporal digraph as JSON")
-    _add_common(p)
+    p = _command(dtsub, "tgraph", _cmd_dtcn_tgraph, "layered temporal digraph as JSON")
     p.add_argument("--contacts", required=True)
-    p.set_defaults(func=_cmd_dtcn_tgraph)
 
-    p = dtsub.add_parser("detour", help="bypass vertices inside the layered digraph")
-    _add_common(p)
+    p = _command(dtsub, "detour", _cmd_dtcn_detour, "bypass vertices inside the layered digraph")
     p.add_argument("--contacts", required=True)
     p.add_argument("--vertices", required=True)
-    p.set_defaults(func=_cmd_dtcn_detour)
 
-    p = dtsub.add_parser("abstract", help="temporal path abstraction")
-    _add_common(p)
+    p = _command(dtsub, "abstract", _cmd_dtcn_abstract, "temporal path abstraction")
     p.add_argument("--contacts", required=True)
     p.add_argument("--partition", required=True)
-    p.set_defaults(func=_cmd_dtcn_abstract)
 
-    p = dtsub.add_parser("sample", help="sample a random contact network")
-    _add_common(p)
+    p = _command(dtsub, "sample", _cmd_dtcn_sample, "sample a random contact network", _add_seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--mode", choices=["uniform", "poisson"], default="uniform")
     p.add_argument("--max-retries", type=int, default=0)
-    p.set_defaults(func=_cmd_dtcn_sample)
 
     p = sub.add_parser("check", help="run the property suites headlessly")
-    _add_common(p)
     p.set_defaults(func=_cmd_check)
+    _add_seed(p)
 
     return parser
 

@@ -1,9 +1,23 @@
-"""Text formats: edge lists, labelings, partitions, contact CSV, JSON.
+"""Text formats: digraphs as edge lists, CSV or JSON; labelings, partitions, contact CSV.
 
-Edge-list grammar: '#' starts a comment; an optional header line is either
-"n <count>" (vertices 1..count) or "vertices <id...>" (explicit set, used
-when deletions left gaps); every other line is "u v" or "u v weight".
-Duplicate arc lines are semiring-added, which is how multigraphs are written.
+The three digraph readers share one assembly.  Every arc value goes through
+its semiring's ``parse_value``; duplicate arcs are semiring-added, which is
+how multigraphs are written, and zero sums are dropped.  A loop, or an arc
+outside a declared vertex set, is a ``ParseError`` naming its line, row or
+arc.  With no declared set the vertices are 1..max over every endpoint
+named, zero-valued arcs included.
+
+- Edge list: '#' starts a comment.  An optional first line is "n <count>"
+  (declares 1..count) or "vertices <id...>" (declares that set, as after
+  deletions); every other line is "u v" (value one) or "u v weight".
+- CSV: the header "from,to,value", then arc rows "u,v,value".  A row "v,,"
+  declares vertex v; a file with such rows has exactly those vertices.
+- JSON: an object with "semiring", "vertices" (declared), "arcs" (a list of
+  {"from", "to", "value"}) and optional "blocks".  Each field is read as its
+  JSON literal, so a value is a number that the semiring accepts.  "blocks"
+  maps a vertex to the original vertices merged into it, as contractions
+  leave them: the vertex is its block's smallest member, no other member is
+  a vertex, and blocks are disjoint.
 """
 
 from __future__ import annotations
@@ -11,8 +25,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
 
-from .digraph import Digraph, add_arc_value, _normalized
+from .digraph import Digraph, DigraphError, _normalized
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, TemporalError
@@ -29,73 +44,142 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
-    vertices: set[int] | None = None
-    acc: dict[tuple[int, int], object] = {}
-    declared_n: int | None = None
-    first = True
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
-        if first and tokens[0] == "n" and len(tokens) == 2:
-            declared_n = _parse_vertex(tokens[1], lineno, allow_zero=True)
-            first = False
-            continue
-        if first and tokens[0] == "vertices":
-            vertices = {_parse_vertex(t, lineno) for t in tokens[1:]}
-            first = False
-            continue
-        first = False
-        if len(tokens) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'u v' or 'u v weight'")
-        u = _parse_vertex(tokens[0], lineno)
-        v = _parse_vertex(tokens[1], lineno)
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at {u} (digraphs are loopless)")
-        if len(tokens) == 3:
-            try:
-                value = semiring.parse_value(tokens[2])
-            except (ValueError, SemiringError) as exc:
-                raise ParseError(f"line {lineno}: bad weight {tokens[2]!r}: {exc}") from None
-        else:
-            value = semiring.one
-        add_arc_value(acc, (u, v), value, semiring)
-    acc = _normalized(acc, semiring)
-    if vertices is None:
-        top = max((max(u, v) for (u, v) in acc), default=0)
-        if declared_n is not None:
-            if top > declared_n:
-                raise ParseError(f"arc mentions vertex {top} beyond declared n={declared_n}")
-            top = declared_n
-        vertices = set(range(1, top + 1))
-    else:
-        for (u, v) in acc:
-            if u not in vertices or v not in vertices:
-                raise ParseError(f"arc ({u}, {v}) outside the declared vertex set")
-    return Digraph(frozenset(vertices), acc, semiring)
-
-
-def _parse_vertex(token: str, lineno: int, allow_zero: bool = False) -> int:
+def _vertex(token: str, unit: str, index, allow_zero: bool = False) -> int:
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: malformed vertex id {token!r}") from None
+        raise ParseError(f"{unit} {index}: malformed vertex id {token!r}") from None
     if value < (0 if allow_zero else 1):
-        raise ParseError(f"line {lineno}: vertex ids are positive, got {value}")
+        raise ParseError(f"{unit} {index}: vertex ids are positive, got {value}")
     return value
 
 
-def _maybe_compact(d: Digraph, compact_ids: bool):
+def _assemble(
+    rows, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None
+) -> Digraph:
+    """The one route from arc rows to a ``Digraph``.
+
+    ``rows`` yields ``(index, u, v, value)`` tokens, where a ``value`` of
+    None means the semiring's one; errors name the row as "<unit> <index>".
+    With no ``declared`` vertex set the vertices are 1..max over ``top`` and
+    every endpoint named.
+    """
+    parse, add = semiring.parse_value, semiring.add
+    acc: dict[tuple[int, int], object] = {}
+    for index, a, b, token in rows:
+        u, v = _vertex(a, unit, index), _vertex(b, unit, index)
+        if u == v:
+            raise ParseError(f"{unit} {index}: self-loop at {u} (digraphs are loopless)")
+        if declared is None:
+            top = max(top, u, v)
+        elif u not in declared or v not in declared:
+            raise ParseError(f"{unit} {index}: arc ({u}, {v}) outside the declared vertex set")
+        try:
+            value = semiring.one if token is None else parse(token)
+        except ValueError as exc:
+            raise ParseError(f"{unit} {index}: bad value {token!r}: {exc}") from None
+        key = (u, v)
+        acc[key] = add(acc[key], value) if key in acc else value
+    if declared is None:
+        declared = frozenset(range(1, top + 1))
+    try:
+        return Digraph(declared, _normalized(acc, semiring), semiring, merged or {})
+    except DigraphError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
+    lines = _content_lines(text)
+    declared = None
+    first = next(lines, None)
+    if first is not None:
+        lineno, line = first
+        tokens = line.split()
+        if tokens[0] == "n" and len(tokens) == 2:
+            declared = frozenset(range(1, _vertex(tokens[1], "line", lineno, allow_zero=True) + 1))
+        elif tokens[0] == "vertices":
+            declared = frozenset(_vertex(t, "line", lineno) for t in tokens[1:])
+        else:
+            lines = chain([first], lines)
+    return _assemble(_edge_rows(lines), semiring, "line", declared)
+
+
+def _edge_rows(lines):
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) not in (2, 3):
+            raise ParseError(f"line {lineno}: expected 'u v' or 'u v weight'")
+        yield lineno, tokens[0], tokens[1], tokens[2] if len(tokens) == 3 else None
+
+
+def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
+    """Rows "from,to,value" are arcs; a row "v,," (empty to and value) declares vertex v.
+
+    A file with vertex rows has exactly those vertices, and ``n`` is not
+    used.  Otherwise the vertices are 1..max over the endpoints named and
+    ``n``, as in files written before vertex rows existed.
+    """
+    rows = [(i, *row) for i, row in enumerate(_csv_rows(text, "from,to,value"), start=2)]
+    listed = frozenset(_vertex(u, "row", i) for i, u, v, w in rows if not (v.strip() or w.strip()))
+    arcs = [row for row in rows if row[2].strip() or row[3].strip()]
+    return _assemble(arcs, semiring, "row", listed or None, n or 0)
+
+
+def parse_digraph_json(text: str) -> Digraph:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from None
+    # Fields are read as their JSON literals: 3 reaches the semiring's parser
+    # as "3", and "3" or true arrive quoted or spelled out and are refused.
+    literal = json.dumps
+    try:
+        semiring = get_semiring(payload["semiring"])
+        vertices = frozenset(
+            _vertex(literal(v), "vertices entry", i) for i, v in enumerate(payload["vertices"])
+        )
+        rows = [
+            (i, literal(arc["from"]), literal(arc["to"]), literal(arc["value"]))
+            for i, arc in enumerate(payload["arcs"])
+        ]
+        blocks = [(key, list(map(literal, ms))) for key, ms in payload.get("blocks", {}).items()]
+    except (KeyError, TypeError, AttributeError, SemiringError) as exc:
+        raise ParseError(f"malformed digraph JSON: {exc!r}") from None
+    merged: dict[int, frozenset[int]] = {}
+    for key, tokens in blocks:
+        rep = _vertex(key, "block", key)
+        members = frozenset(_vertex(t, "block", key) for t in tokens)
+        if rep not in vertices or min(members, default=0) != rep:
+            raise ParseError(f"block {key}: a block is named by its smallest member, a vertex")
+        if len(members & vertices) > 1 or any(members & m for m in merged.values()):
+            raise ParseError(f"block {key}: {sorted(members)} meets another block or vertex")
+        merged[rep] = members
+    return _assemble(rows, semiring, "arc", vertices, merged=merged)
+
+
+def _csv_rows(text: str, header: str) -> list[list[str]]:
+    """The three-cell rows after the header; blank rows are skipped, and the header is row 1."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows or [c.strip() for c in rows[0]] != header.split(","):
+        raise ParseError(f"CSV needs the header {header}")
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"row {i}: expected three columns")
+    return rows[1:]
+
+
+def _maybe_compact(d: Digraph, compact_ids: bool) -> Digraph:
+    """Renumber the vertices 1..k; merged blocks name the old ids, so they go."""
     order = sorted(d.vertices)
     if not compact_ids or order == list(range(1, len(order) + 1)):
-        return d, {v: v for v in order}
+        return d
     remap = {v: i + 1 for i, v in enumerate(order)}
     arcs = {(remap[x], remap[y]): val for (x, y), val in d.arcs.items()}
-    merged = {remap[v]: m for v, m in d.merged.items()}
-    return Digraph(frozenset(remap.values()), arcs, d.semiring, merged), remap
+    return Digraph(frozenset(remap.values()), arcs, d.semiring)
 
 
 def serialize_digraph(d: Digraph, fmt: str = "edgelist", compact_ids: bool = False) -> str:
-    d, _ = _maybe_compact(d, compact_ids)
+    d = _maybe_compact(d, compact_ids)
     if fmt == "edgelist":
         return _to_edgelist(d)
     if fmt == "json":
@@ -134,45 +218,6 @@ def _to_json(d: Digraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_digraph_json(text: str) -> Digraph:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from None
-    try:
-        semiring = get_semiring(payload["semiring"])
-        arcs = {}
-        for i, arc in enumerate(payload["arcs"]):
-            key = (_json_vertex(arc["from"]), _json_vertex(arc["to"]))
-            add_arc_value(arcs, key, _json_value(arc["value"], semiring, i), semiring)
-        vertices = frozenset(_json_vertex(v) for v in payload["vertices"])
-        merged = {
-            _json_vertex(int(v)): frozenset(_json_vertex(m) for m in members)
-            for v, members in payload.get("blocks", {}).items()
-        }
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed digraph JSON: {exc!r}") from None
-    return Digraph(vertices, _normalized(arcs, semiring), semiring, merged)
-
-
-def _json_vertex(raw) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ParseError(f"vertex ids are positive JSON integers, got {raw!r}")
-    return raw
-
-
-def _json_value(raw, semiring: SemiringSpec, index: int):
-    """A JSON arc value is a number that its semiring's parser accepts."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ParseError(f"arc {index}: value {raw!r} is not a JSON number")
-    try:
-        return semiring.parse_value(str(raw))
-    except (ValueError, SemiringError) as exc:
-        raise ParseError(f"arc {index}: bad value {raw!r}: {exc}") from None
-
-
 def _to_csv(d: Digraph) -> str:
     """Arc rows, preceded by a vertex row per vertex unless the arcs imply the set.
 
@@ -191,45 +236,6 @@ def _to_csv(d: Digraph) -> str:
     return out.getvalue()
 
 
-def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
-    """Rows "from,to,value" are arcs; a row "v,," (empty to and value) lists vertex v.
-
-    A file with vertex rows has exactly those vertices, and ``n`` is not
-    used.  Otherwise the vertices are 1..max over the arcs' endpoints and
-    ``n``, as in files written before vertex rows existed.
-    """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["from", "to", "value"]:
-        raise ParseError("digraph CSV needs the header from,to,value")
-    acc: dict[tuple[int, int], object] = {}
-    listed: set[int] = set()
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"row {i}: expected three columns")
-        if not row[1].strip() and not row[2].strip():
-            listed.add(_parse_vertex(row[0], i))
-            continue
-        u, v = _parse_vertex(row[0], i), _parse_vertex(row[1], i)
-        if u == v:
-            raise ParseError(f"row {i}: self-loop at {u}")
-        try:
-            value = semiring.parse_value(row[2])
-        except (ValueError, SemiringError) as exc:
-            raise ParseError(f"row {i}: bad weight {row[2]!r}: {exc}") from None
-        add_arc_value(acc, (u, v), value, semiring)
-    acc = _normalized(acc, semiring)
-    if listed:
-        for (u, v) in acc:
-            if u not in listed or v not in listed:
-                raise ParseError(f"arc ({u}, {v}) outside the listed vertex rows")
-        return Digraph(frozenset(listed), acc, semiring)
-    top = max((max(u, v) for (u, v) in acc), default=0)
-    if n is not None:
-        top = max(top, n)
-    return Digraph(frozenset(range(1, top + 1)), acc, semiring)
-
-
 def parse_labels(text: str) -> Coloring:
     """Lines "vertex color"; every vertex 1..max must appear exactly once."""
     seen: dict[int, int] = {}
@@ -237,7 +243,7 @@ def parse_labels(text: str) -> Coloring:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'vertex color'")
-        v = _parse_vertex(tokens[0], lineno)
+        v = _vertex(tokens[0], "line", lineno)
         try:
             color = int(tokens[1])
         except ValueError:
@@ -258,7 +264,7 @@ def parse_partition(text: str, n: int | None = None) -> PartialPartition:
     """One block per line, whitespace-separated vertex ids."""
     blocks: list[set[int]] = []
     for lineno, line in _content_lines(text):
-        blocks.append({_parse_vertex(t, lineno) for t in line.split()})
+        blocks.append({_vertex(t, "line", lineno) for t in line.split()})
     top = max((max(b) for b in blocks), default=0)
     if n is None:
         n = top
@@ -274,20 +280,14 @@ def serialize_partition(p: PartialPartition) -> str:
 
 def parse_contacts(text: str, n: int | None = None) -> DTCN:
     """Contact CSV with header source,target,time; times are decimal literals."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["source", "target", "time"]:
-        raise ParseError("contact CSV needs the header source,target,time")
     triples: list[tuple[int, int, float]] = []
     seen = set()
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"row {i}: expected three columns")
-        s, t = _parse_vertex(row[0], i), _parse_vertex(row[1], i)
+    for i, (s, t, time) in enumerate(_csv_rows(text, "source,target,time"), start=2):
+        s, t = _vertex(s, "row", i), _vertex(t, "row", i)
         try:
-            tau = float(row[2])
+            tau = float(time)
         except ValueError:
-            raise ParseError(f"row {i}: malformed time {row[2]!r}") from None
+            raise ParseError(f"row {i}: malformed time {time!r}") from None
         triple = (s, t, tau)
         if triple in seen:
             raise ParseError(f"row {i}: duplicate contact {triple}")

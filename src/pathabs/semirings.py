@@ -10,6 +10,7 @@ a value meaning "no arc" (0 for boolean/counting/real) declare it via
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -59,9 +60,16 @@ def _parse_bool(token: str) -> int:
     return int(token)
 
 
+def _parse_real(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise SemiringError(f"real weights are finite, got {token}")
+    return value
+
+
 def _parse_nonneg_float(token: str) -> float:
     value = float(token)
-    if not value >= 0.0:
+    if not 0.0 <= value < math.inf:
         raise SemiringError(f"min-plus weights lie in [0, inf), got {token}")
     return value
 
@@ -100,7 +108,7 @@ REAL = SemiringSpec(
     sample=lambda rng: float(rng.randint(-3, 3)),
     is_zero=lambda v: v == 0.0,
     cancellative=True,
-    parse_value=float,
+    parse_value=_parse_real,
 )
 
 MINPLUS_NONNEG = SemiringSpec(

@@ -1,9 +1,13 @@
+import argparse
 import importlib.resources as resources
 
 import pytest
 
-from pathabs.cli import main
+from pathabs import Digraph
+from pathabs.cli import build_parser, main
+from pathabs.formats import serialize_digraph
 from pathabs.random import expected_arcs
+from pathabs.semirings import REGISTRY
 
 
 def _fixture_path(name: str) -> str:
@@ -368,3 +372,101 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "vertices 1 3\n1 3\n"
+
+
+def test_vabstract_compact_ids_renumber_the_colors(tmp_path, capsys):
+    graph = tmp_path / "d.edges"
+    graph.write_text("1 2\n2 3\n3 4\n")
+    labels = tmp_path / "l.txt"
+    labels.write_text("1 1\n2 2\n3 1\n4 3\n")
+    code, out, _ = run_cli(
+        capsys, "vabstract", "--graph", str(graph), "--labels", str(labels),
+        "--keep-colors", "2,3", "--compact-ids",
+    )
+    assert code == 0
+    assert out == "n 2\n# color 1 2\n# color 2 3\n"
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_output_format_reads_back(tmp_path, capsys, fmt, name):
+    semiring = REGISTRY[name]
+    value = semiring.parse_value({"boolean": "1", "counting": "3"}.get(name, "1.25"))
+    arcs = {arc: value for arc in [(1, 3), (3, 4), (2, 3), (4, 6), (6, 1), (2, 9)]}
+    # a merged block, gaps at 5, 7 and 8 (and at 3 after the bypass), isolated top vertex 10
+    source = Digraph(frozenset({1, 2, 3, 4, 6, 9, 10}), arcs, semiring, {2: frozenset({2, 5})})
+    graph = tmp_path / "in.json"
+    graph.write_text(serialize_digraph(source, "json"))
+    written = tmp_path / f"g.{fmt}"
+    bypass = ["bypass", "--vertex", "3", "--semiring", name, "--output-format", fmt]
+    code, expected, err = run_cli(capsys, *bypass, "--graph", str(graph))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, *bypass, "--graph", str(graph), "--output", str(written))
+    assert (code, written.read_text()) == (0, expected), err
+    empty = tmp_path / "none.txt"
+    empty.write_text("")
+    code, out, err = run_cli(
+        capsys, "contract", "--graph", str(written), "--blocks", str(empty),
+        "--semiring", name, "--output-format", fmt,
+    )
+    assert (code, out) == (0, expected), err
+    assert ('"2": [' in out) == (fmt == "json")
+
+
+_GRAPH_IN = {"--output", "--semiring"}
+_GRAPH_IO = _GRAPH_IN | {"--output-format", "--compact-ids"}
+COMMON_OPTIONS = {
+    "contract": _GRAPH_IO,
+    "vabstract": _GRAPH_IO,
+    "detour": _GRAPH_IO,
+    "bypass": _GRAPH_IO,
+    "pabstract": _GRAPH_IO,
+    "naive-bypass": _GRAPH_IO,
+    "paths": _GRAPH_IN,
+    "rand stats": {"--output"},
+    "rand mc": {"--output", "--seed"},
+    "rand renorm": {"--output"},
+    "rand scc": {"--output", "--seed"},
+    "dtcn fiber": {"--output"},
+    "dtcn tgraph": {"--output"},
+    "dtcn detour": {"--output"},
+    "dtcn abstract": {"--output"},
+    "dtcn sample": {"--output", "--seed"},
+    "check": {"--seed"},
+}
+
+
+def _subcommands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_each_subcommand_takes_only_the_common_options_it_reads():
+    common = set().union(*COMMON_OPTIONS.values())
+    table = {
+        name: {o for action in p._actions for o in action.option_strings} & common
+        for name, p in _subcommands(build_parser())
+    }
+    assert table == COMMON_OPTIONS
+    assert sum(map(len, table.values())) == 39  # five on each of 17 subcommands gave 85
+
+
+def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
+    code, _, err = run_cli(
+        capsys, "rand", "renorm", "--n", "50", "--c", "1.03", "--n-max", "10", "--semiring", "x"
+    )
+    assert code == 1 and "--semiring" in err
+    code, _, _ = run_cli(capsys, "check", "--output", str(tmp_path / "f"))
+    assert code == 1
+    # PATHABS_SEED is read only where a seed is
+    monkeypatch.setenv("PATHABS_SEED", "abc")
+    graph = tmp_path / "tri.edges"
+    graph.write_text("1 2\n2 3\n")
+    code, out, _ = run_cli(capsys, "detour", "--graph", str(graph), "--vertex", "2")
+    assert (code, out) == (0, "n 3\n1 3\n")
+    code, _, err = run_cli(capsys, "rand", "mc", "--n", "5", "--p", "0.5", "--trials", "1")
+    assert code == 1 and "PATHABS_SEED" in err

@@ -2,7 +2,8 @@ import importlib.resources as resources
 
 import pytest
 
-from pathabs import COUNTING, MINPLUS_NONNEG, Digraph, contract_blocks
+from pathabs import COUNTING, MINPLUS_NONNEG, REAL, Digraph, contract_blocks
+from pathabs.digraph import delete_vertices
 from pathabs.formats import (
     ParseError,
     parse_contacts,
@@ -15,6 +16,7 @@ from pathabs.formats import (
     serialize_digraph,
     serialize_partition,
 )
+from pathabs.semirings import REGISTRY
 from pathabs.temporal import sample_dtcn
 
 from conftest import random_digraph, random_multigraph
@@ -216,3 +218,121 @@ def test_minplus_weights_round_trip():
 def test_contact_round_trip():
     d = sample_dtcn(12, 0.2, "uniform", 4, max_retries=3)
     assert parse_contacts(serialize_contacts(d), n=d.n) == d
+
+
+def test_a_declared_vertex_set_bounds_zero_valued_lines_too():
+    for text in ("n 2\n1 3 0\n", "vertices 1 2\n1 3 0\n"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_digraph(text, COUNTING)
+    # with no declared set, every endpoint named counts, zero-valued or not
+    assert parse_digraph("1 2 0\n", COUNTING) == Digraph.build(2, {}, COUNTING)
+    assert parse_digraph_csv("from,to,value\n1,2,0\n", COUNTING) == Digraph.build(2, {}, COUNTING)
+
+
+def test_csv_errors_name_the_row():
+    for text in ("from,to,value\n1,x,1\n", "from,to,value\n0,,\n", "from,to,value\n2,2,1\n"):
+        with pytest.raises(ParseError, match="^row 2: "):
+            parse_digraph_csv(text)
+    with pytest.raises(ParseError, match="^row 2: "):
+        parse_contacts("source,target,time\n0,1,1.0\n")
+
+
+def _json(arcs: str, vertices: str = "[1, 2]", blocks: str = "{}") -> str:
+    return (
+        f'{{"semiring": "boolean", "vertices": {vertices}, "arcs": {arcs}, "blocks": {blocks}}}'
+    )
+
+
+def test_json_loops_and_out_of_set_arcs_are_parse_errors():
+    with pytest.raises(ParseError, match="^arc 1: self-loop"):
+        parse_digraph_json(
+            _json('[{"from": 1, "to": 2, "value": 1}, {"from": 2, "to": 2, "value": 1}]')
+        )
+    with pytest.raises(ParseError, match="^arc 0: arc \\(1, 3\\) outside"):
+        parse_digraph_json(_json('[{"from": 1, "to": 3, "value": 1}]'))
+
+
+@pytest.mark.parametrize(
+    "vertices, blocks",
+    [
+        ("[1, 2]", '{"7": [1]}'),  # not a vertex
+        ("[1, 2]", '{"7": [7]}'),
+        ("[1, 2, 3]", '{"2": [1, 2]}'),  # not the smallest member
+        ("[1, 2]", '{"1": [1, 2]}'),  # names another vertex
+        ("[1, 2]", '{"1": [1, 3], "2": [2, 3]}'),  # blocks overlap
+        ("[1, 2]", '{"1": []}'),
+        ("[1, 2]", '{"x": [1]}'),
+        ("[1, 2]", '{"1": [1, "3"]}'),
+        ("[1, 2]", '{"1": 3}'),
+        ("[1, 2]", "[1]"),
+    ],
+)
+def test_json_blocks_are_checked(vertices, blocks):
+    with pytest.raises(ParseError):
+        parse_digraph_json(_json("[]", vertices, blocks))
+
+
+def test_json_blocks_as_contractions_leave_them():
+    d = parse_digraph_json(_json("[]", "[1, 2, 6]", '{"2": [2, 4, 5], "6": [6, 7]}'))
+    assert d.merged == {2: frozenset({2, 4, 5}), 6: frozenset({6, 7})}
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e999": "1e999"}
+
+
+def _read_one_arc(fmt: str, semiring, token: str):
+    if fmt == "edgelist":
+        return parse_digraph(f"1 2 {token}\n", semiring)
+    if fmt == "csv":
+        return parse_digraph_csv(f"from,to,value\n1,2,{token}\n", semiring)
+    return parse_digraph_json(
+        f'{{"semiring": "{semiring.name}", "vertices": [1, 2], '
+        f'"arcs": [{{"from": 1, "to": 2, "value": {_NON_FINITE.get(token, token)}}}]}}'
+    )
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "csv", "json"])
+@pytest.mark.parametrize("semiring", [REAL, MINPLUS_NONNEG], ids=lambda s: s.name)
+def test_non_finite_weights_are_rejected(fmt, semiring):
+    for token in _NON_FINITE:
+        if semiring is MINPLUS_NONNEG and token.startswith("-"):
+            continue  # negative, refused before
+        with pytest.raises(ParseError, match="bad value"):
+            _read_one_arc(fmt, semiring, token)
+    assert _read_one_arc(fmt, semiring, "1e300").arcs == {(1, 2): 1e300}
+
+
+def _gapped_digraph(rng, semiring) -> Digraph:
+    """Vertex-id gaps, an isolated top vertex and a merged block."""
+    arcs = {}
+    for x in range(1, 8):
+        for y in range(1, 8):
+            value = semiring.sample(rng)
+            if x != y and rng.random() < 0.4 and semiring.normalize(value) is not None:
+                arcs[(x, y)] = value
+    d = delete_vertices(contract_blocks(Digraph.build(7, arcs, semiring), [{2, 5}]), [3])
+    return Digraph(d.vertices | {11}, d.arcs, semiring, d.merged)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_round_trip_matrix(rng, fmt, name):
+    semiring = REGISTRY[name]
+    read = {
+        "edgelist": lambda text: parse_digraph(text, semiring),
+        "csv": lambda text: parse_digraph_csv(text, semiring),
+        "json": parse_digraph_json,
+    }[fmt]
+    for _ in range(20):
+        d = _gapped_digraph(rng, semiring)
+        assert d.merged == {2: frozenset({2, 5})} and 11 in d.vertices
+        # only JSON carries merged blocks
+        expected = d if fmt == "json" else Digraph(d.vertices, d.arcs, semiring)
+        assert read(serialize_digraph(d, fmt)) == expected
+
+
+def test_compact_ids_drop_blocks_in_the_old_numbering():
+    d = delete_vertices(contract_blocks(Digraph.build(5, [(1, 2), (4, 3), (3, 5)]), [{2, 4}]), [1])
+    assert d.vertices == {2, 3, 5} and d.merged == {2: frozenset({2, 4})}
+    text = serialize_digraph(d, "json", compact_ids=True)
+    assert parse_digraph_json(text) == Digraph.build(3, [(1, 2), (2, 3)])
