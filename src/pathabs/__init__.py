@@ -68,7 +68,6 @@ from .weighted import (
     double_detour,
     weighted_contract_commutes,
     weighted_detour,
-    weighted_detour_set,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .digraph import (
     Digraph,
+    DigraphError,
     classify_vertex,
     contract_blocks,
     delete_vertices,
@@ -42,7 +43,7 @@ from .partitions import (
     drop_element,
     refines,
 )
-from .semirings import COUNTING, REGISTRY, check_semiring_laws
+from .semirings import BOOLEAN, COUNTING, REAL, REGISTRY, check_semiring_laws
 from .temporal import DTCN, build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
 from .weighted import detours_commute, double_detour, weighted_detour
 
@@ -56,18 +57,24 @@ def _require(condition: bool, detail: str):
         raise CheckFailure(detail)
 
 
-def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=None) -> Digraph:
-    """Each ordered pair of 1..n is an arc with probability p; counting arcs
-    get a multiplicity drawn from 1..3, others the value 1."""
+_ARC_VALUES = {
+    "boolean": lambda rng: 1,
+    "counting": lambda rng: rng.randint(1, 3),
+    "real": lambda rng: float(rng.choice((-2, -1, 1, 2, 3))),
+    "minplus-nonneg": lambda rng: float(rng.randint(0, 5)),
+}
+
+
+def _random_digraph(rng: _stdrandom.Random, n: int, p: float, semiring=BOOLEAN) -> Digraph:
+    """Each ordered pair of 1..n is an arc with probability p; its value is small and
+    exact, and signed on the reals so that sums can cancel."""
+    draw = _ARC_VALUES[semiring.name]
     arcs = {}
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             if x != y and rng.random() < p:
-                if semiring is COUNTING:
-                    arcs[(x, y)] = rng.randint(1, 3)
-                else:
-                    arcs[(x, y)] = 1
-    return Digraph.build(n, arcs, semiring or REGISTRY["boolean"])
+                arcs[(x, y)] = draw(rng)
+    return Digraph.build(n, arcs, semiring)
 
 
 def check_laws(seed: int):
@@ -266,33 +273,48 @@ def check_mc_core_closure(seed: int):
 
 
 def check_path_abstract_routes(seed: int):
-    """``path_abstract`` against bypass-then-contract and contract-then-bypass.
+    """``path_abstract`` against bypass-then-contract and contract-then-bypass, on every semiring.
 
-    Bypasses and disjoint contractions commute, so the one-pass core must equal
-    both two-step routes, ``merged`` included.  Digraphs carry a planted cycle,
-    every other one has a merged block, and vertices are deleted so the ids
-    have gaps; the partition's ground set may run past the largest vertex.
+    Bypasses and disjoint contractions commute, so all three must agree,
+    ``merged`` included, or refuse with the same message.  On the reals,
+    contracting first can cancel a route the order guard refuses when
+    bypassing first.  Digraphs carry a planted cycle, every other one has a
+    merged block, and vertices are deleted so the ids have gaps; the
+    partition's ground set may run past the largest vertex.
     """
     rng = _stdrandom.Random(seed)
-    for case in range(150):
-        n = rng.randint(2, 10)
-        d = _random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5)))
-        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
-        d = d.with_arcs({**d.arcs, **{(x, y): 1 for x, y in zip(cycle, cycle[1:] + cycle[:1])}})
-        if case % 2 and n >= 4:
-            d = contract_blocks(d, [rng.sample(range(1, n + 1), rng.randint(2, 3))])
-        vertices = sorted(d.vertices)
-        d = delete_vertices(d, rng.sample(vertices, rng.randint(0, len(vertices) - 1)))
-        kept = rng.sample(sorted(d.vertices), rng.randint(0, d.n))
-        cuts = sorted(rng.sample(range(1, len(kept)), rng.randint(0, max(0, len(kept) - 1))))
-        blocks = [set(kept[i:j]) for i, j in zip([0] + cuts, cuts + [len(kept)]) if i < j]
-        outside = d.vertices - set(kept)
-        got = path_abstract(d, PartialPartition(max(d.vertices) + rng.randint(0, 2), blocks))
-        first_bypass = contract_blocks(bypass_set(d, outside), blocks)
-        first_contract = bypass_set(contract_blocks(d, blocks), outside)
-        where = f"blocks {blocks} of {sorted(d.arcs)} (merged {d.merged})"
-        _require(got == first_bypass, f"path_abstract differs from bypass-then-contract at {where}")
-        _require(got == first_contract, f"path_abstract differs from contract-then-bypass at {where}")
+    for s in REGISTRY.values():
+        for case in range(150):
+            n = rng.randint(2, 10)
+            d = _random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5)), s)
+            cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+            planted = {(x, y): _ARC_VALUES[s.name](rng) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+            d = d.with_arcs({**d.arcs, **planted})
+            if case % 2 and n >= 4:
+                d = contract_blocks(d, [rng.sample(range(1, n + 1), rng.randint(2, 3))])
+            d = delete_vertices(d, rng.sample(sorted(d.vertices), rng.randint(0, d.n - 1)))
+            kept = rng.sample(sorted(d.vertices), rng.randint(0, d.n))
+            cuts = sorted(rng.sample(range(1, len(kept)), rng.randint(0, max(0, len(kept) - 1))))
+            blocks = [set(kept[i:j]) for i, j in zip([0] + cuts, cuts + [len(kept)]) if i < j]
+            outside = d.vertices - set(kept)
+            p = PartialPartition(max(d.vertices) + rng.randint(0, 2), blocks)
+            got, first_bypass, first_contract = map(_or_refusal, (
+                lambda: path_abstract(d, p),
+                lambda: contract_blocks(bypass_set(d, outside), blocks),
+                lambda: bypass_set(contract_blocks(d, blocks), outside),
+            ))
+            where = f"{s.name} blocks {blocks} of {d.arcs} (merged {d.merged})"
+            cancelled = s is REAL and isinstance(first_bypass, str) and isinstance(got, Digraph)
+            _require(got == first_contract, f"path_abstract differs from contract first on {where}")
+            _require(got == first_bypass or cancelled, f"path_abstract differs from bypass first on {where}")
+
+
+def _or_refusal(route):
+    """A route's digraph, or its ``DigraphError`` message."""
+    try:
+        return route()
+    except DigraphError as exc:
+        return str(exc)
 
 
 def check_temporal_sizes(seed: int):

@@ -16,14 +16,15 @@ environment variable overrides.  All but ``check`` take ``--output``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 
 from . import formats, pabstract, temporal, vabstract
 from . import random as randdg
-from .digraph import DigraphError, contract_blocks, delete_vertices, enumerate_paths
-from .partitions import PartitionError, partition_from_labels
+from .digraph import DigraphError, contract_blocks, enumerate_paths
+from .partitions import PartialPartition, PartitionError, partition_from_labels
 from .semirings import SemiringError, get_semiring
 from .temporal import TemporalError
 
@@ -49,11 +50,8 @@ class _Parser(argparse.ArgumentParser):
     # internal invariant violations, so downgrade usage errors to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _add_graph_input(p: argparse.ArgumentParser):
@@ -118,11 +116,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _vertex_args(args) -> list[int]:
-    if args.vertices:
-        return _int_list(args.vertices)
-    if args.vertex is not None:
-        return [args.vertex]
-    raise CliError("pass --vertex or --vertices")
+    return [args.vertex] if args.vertex is not None else _int_list(args.vertices)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -148,37 +142,25 @@ def _cmd_vabstract(args):
     if args.output_format == "edgelist":
         body += "".join(f"# color {v} {c}\n" for v, c in colors.items())
     elif args.output_format == "json":
-        import json as _json
-
-        payload = _json.loads(body)
+        payload = json.loads(body)
         payload["colors"] = {str(v): c for v, c in colors.items()}
-        body = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(body, args)
-
-
-def _detour_any(d, vs):
-    """Boolean detours on boolean input, weighted detours on any other semiring."""
-    if d.semiring.name == "boolean":
-        return pabstract.detour_set(d, vs)
-    from .weighted import weighted_detour_set
-
-    return weighted_detour_set(d, vs)
 
 
 def _cmd_detour(args):
     d = _load_graph(args)
-    _emit_graph(_detour_any(d, _vertex_args(args)), args)
+    _emit_graph(pabstract.detour_set(d, _vertex_args(args)), args)
 
 
 def _cmd_bypass(args):
     d = _load_graph(args)
-    vs = _vertex_args(args)
-    _emit_graph(delete_vertices(_detour_any(d, vs), vs), args)
+    _emit_graph(pabstract.bypass_set(d, _vertex_args(args)), args)
 
 
 def _cmd_pabstract(args):
     d = _load_graph(args)
-    if args.partition:
+    if args.partition and args.keep_colors is None:
         pi = formats.parse_partition(_read(args.partition), n=max(d.vertices, default=0))
     elif args.labels and args.keep_colors is not None:
         coloring = formats.parse_labels(_read(args.labels))
@@ -242,8 +224,6 @@ def _cmd_rand_stats(args):
 
 
 def _cmd_rand_mc(args):
-    from .partitions import PartialPartition
-
     if args.partition:
         pi = formats.parse_partition(_read(args.partition), n=args.n)
     else:
@@ -286,8 +266,6 @@ def _cmd_dtcn_fiber(args):
 
 
 def _cmd_dtcn_tgraph(args):
-    import json as _json
-
     d = formats.parse_contacts(_read(args.contacts))
     t = temporal.build_temporal_digraph(d)
 
@@ -302,7 +280,7 @@ def _cmd_dtcn_tgraph(args):
         "vertex_count": t.vertex_count,
         "arc_count": t.arc_count,
     }
-    _emit(_json.dumps(payload, indent=2) + "\n", args)
+    _emit(json.dumps(payload, indent=2) + "\n", args)
 
 
 def _cmd_dtcn_detour(args):
@@ -361,20 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--keep-colors", required=True)
 
-    p = _command(sub, "detour", _cmd_detour, "rewire around vertices, keeping them", *graph_io)
-    p.add_argument("--vertex", type=int)
-    p.add_argument("--vertices")
-
-    p = _command(sub, "bypass", _cmd_bypass, "detour then delete", *graph_io)
-    p.add_argument("--vertex", type=int)
-    p.add_argument("--vertices")
+    for name, func, help in (
+        ("detour", _cmd_detour, "rewire around vertices, keeping them"),
+        ("bypass", _cmd_bypass, "detour then delete"),
+    ):
+        p = _command(sub, name, func, help, *graph_io)
+        one_of = p.add_mutually_exclusive_group(required=True)
+        one_of.add_argument("--vertex", type=int)
+        one_of.add_argument("--vertices")
 
     p = _command(
         sub, "pabstract", _cmd_pabstract, "bypass outside a partition, contract its blocks",
         *graph_io,
     )
-    p.add_argument("--partition")
-    p.add_argument("--labels")
+    one_of = p.add_mutually_exclusive_group()
+    one_of.add_argument("--partition")
+    one_of.add_argument("--labels")
     p.add_argument("--keep-colors")
 
     p = _command(
@@ -403,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--drop", type=int, default=None, help="bypass this many vertices")
-    p.add_argument("--partition", default=None)
+    one_of = p.add_mutually_exclusive_group()
+    one_of.add_argument("--drop", type=int, default=None, help="bypass this many vertices")
+    one_of.add_argument("--partition", default=None)
 
     p = _command(randsub, "renorm", _cmd_rand_renorm, "log[(n-N) * iterated survival] grid")
     p.add_argument("--n", type=int, required=True)

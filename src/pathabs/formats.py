@@ -119,7 +119,7 @@ def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None
     used.  Otherwise the vertices are 1..max over the endpoints named and
     ``n``, as in files written before vertex rows existed.
     """
-    rows = [(i, *row) for i, row in enumerate(_csv_rows(text, "from,to,value"), start=2)]
+    rows = [(i, *row) for i, row in _csv_rows(text, "from,to,value")]
     listed = frozenset(_vertex(u, "row", i) for i, u, v, w in rows if not (v.strip() or w.strip()))
     arcs = [row for row in rows if row[2].strip() or row[3].strip()]
     return _assemble(arcs, semiring, "row", listed or None, n or 0)
@@ -157,12 +157,13 @@ def parse_digraph_json(text: str) -> Digraph:
     return _assemble(rows, semiring, "arc", vertices, merged=merged)
 
 
-def _csv_rows(text: str, header: str) -> list[list[str]]:
-    """The three-cell rows after the header; blank rows are skipped, and the header is row 1."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows or [c.strip() for c in rows[0]] != header.split(","):
+def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
+    """The three-cell rows after the header, each with its file line; blank rows are skipped."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [c.strip() for c in rows[0][1]] != header.split(","):
         raise ParseError(f"CSV needs the header {header}")
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != 3:
             raise ParseError(f"row {i}: expected three columns")
     return rows[1:]
@@ -282,7 +283,7 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
     """Contact CSV with header source,target,time; times are decimal literals."""
     triples: list[tuple[int, int, float]] = []
     seen = set()
-    for i, (s, t, time) in enumerate(_csv_rows(text, "source,target,time"), start=2):
+    for i, (s, t, time) in _csv_rows(text, "source,target,time"):
         s, t = _vertex(s, "row", i), _vertex(t, "row", i)
         try:
             tau = float(time)

@@ -1,4 +1,4 @@
-"""Detours, bypasses, path projection, and path abstraction (boolean digraphs).
+"""Detours, bypasses, path projection, and path abstraction.
 
 The detour at v deletes every arc touching v and inserts an arc from each
 predecessor of v to each distinct successor, leaving v isolated; the bypass
@@ -10,7 +10,8 @@ A path abstraction bypasses everything outside a partial partition's support
 and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
 on arc arrays: ``path_abstract`` wraps it for a ``Digraph`` and the Monte Carlo
 in ``random`` calls it per trial, so no bypassed fill-in digraph is built.
-``detour_set`` and ``bypass_set`` build the bypass itself.
+``detour_set`` and ``bypass_set`` build the bypass itself on any semiring,
+whose addition picks the detour rule.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
@@ -22,11 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# contract_blocks is not called here, but stays importable from this module
-# beside classify_vertex and delete_vertices: the benchmark tracer wraps all
-# three at this name.
 from .digraph import (
     Digraph,
+    DigraphError,
     classify_vertex,
     contract_blocks,
     delete_vertices,
@@ -57,20 +56,21 @@ def bypass(d: Digraph, v: int) -> Digraph:
     return delete_vertices(detour(d, v), [v])
 
 
-def _fold_detours(d: Digraph, vertices: Iterable[int], combine=None) -> tuple[list[int], dict]:
+def _fold_detours(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
     """The dropped vertices, ascending, and the arcs after detouring at each in turn.
 
     Successor and predecessor value maps are built once and rewired in place:
-    the detour at v unlinks v, then sets each arc (x, y) from a predecessor to
-    a distinct successor to ``combine(old, mu(x, v), mu(v, y))``, old being
-    None if absent, and deletes it on None.  By default dict unions write the
-    semiring's one there and every other arc keeps its value, as ``detour`` does.
+    the detour at v unlinks v and links each predecessor x to each distinct
+    successor y.  On the boolean semiring dict unions write one there, as
+    ``detour`` does; on any other, (x, y) becomes normalize(old +
+    mu(x, v)·mu(v, y)), as ``weighted.weighted_detour`` does.
     """
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)
-    if vs and combine is None:  # the empty set is the identity on any semiring
-        d.require_boolean()
+    s = d.semiring
+    if s.add(s.one, s.one) != s.one:  # addition is not idempotent
+        _require_order_free(d, vs)
     succ: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     pred: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     for (x, y), value in d.arcs.items():
@@ -81,9 +81,9 @@ def _fold_detours(d: Digraph, vertices: Iterable[int], combine=None) -> tuple[li
             del succ[x][v]
         for y in ss:
             del pred[y][v]
-        if combine is None:
+        if s.name == "boolean":
             for ends, others, maps in ((ps, ss, succ), (ss, ps, pred)):
-                ones = dict.fromkeys(others, d.semiring.one)
+                ones = dict.fromkeys(others, s.one)
                 for x in ends:
                     maps[x].update(ones)
                     maps[x].pop(x, None)
@@ -91,20 +91,45 @@ def _fold_detours(d: Digraph, vertices: Iterable[int], combine=None) -> tuple[li
         for x, a in ps.items():
             for y, b in ss.items():
                 if x != y:
-                    value = succ[x][y] = pred[y][x] = combine(succ[x].get(y), a, b)
+                    old, through = succ[x].get(y), s.mul(a, b)
+                    total = through if old is None else s.add(old, through)
+                    value = succ[x][y] = pred[y][x] = s.normalize(total)
                     if value is None:
                         del succ[x][y], pred[y][x]
     return vs, {(x, y): value for x, ys in succ.items() for y, value in ys.items()}
 
 
+def _require_order_free(d: Digraph, vs: list[int]) -> None:
+    """Name in a ``DigraphError`` a strong component of two or more dropped
+    vertices that a survivor reaches, and that reaches one, through dropped
+    vertices.  Without one every such route is a simple path, and any fold
+    order sums their products.  Sufficient, not exact: some order-free
+    inputs are refused too."""
+    # All survivors as one vertex k: a dropped vertex on a survivor route shares k's component.
+    k, pos = len(vs), {v: i for i, v in enumerate(vs)}
+    ends = [(pos.get(x, k), pos.get(y, k)) for x, y in d.arcs if x in pos or y in pos]
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    label = scc_labels(k, *ends[(ends < k).all(axis=1)].T)
+    route = scc_labels(k + 1, *ends.T)
+    cyclic = (route[:k] == route[k]) & (np.bincount(label)[label] > 1)
+    if cyclic.any():
+        c = label[np.argmax(cyclic)]  # the component of the smallest such vertex
+        cycle = ", ".join(str(v) for v, l in zip(vs, label) if l == c)
+        raise DigraphError(
+            f"dropped vertices {{{cycle}}} form a cycle on a route between survivors; "
+            f"on the {d.semiring.name} semiring the set detour may depend on the fold order"
+        )
+
+
 def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, in one pass; the set stays, isolated.
 
-    Equal to folding single-vertex detours in ascending vertex order, but the
-    adjacency maps are built once and one ``Digraph`` at the end, so the cost
-    is O(n + m) plus the sum over the set of |pred(v)|·|succ(v)| at v's turn,
-    instead of O(k·m) for k rebuilds.  Single detours commute, so the order
-    is only a convention.
+    Equal to folding ``detour`` (boolean) or ``weighted.weighted_detour`` in
+    ascending vertex order, but the adjacency maps are built once and one
+    ``Digraph`` at the end, so the cost is O(n + m) plus the sum over the set
+    of |pred(v)|·|succ(v)| at v's turn, instead of O(k·m) for k rebuilds.
+    When addition is idempotent every order agrees; otherwise a set whose
+    fold might depend on the order raises ``DigraphError``.
     """
     _, arcs = _fold_detours(d, vertices)
     return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
@@ -226,18 +251,21 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
 def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     """Bypass everything outside the support, then merge the blocks.
 
-    One call of ``abstraction_pairs`` on the arcs, renumbered 0..n-1, with no
-    bypassed fill-in digraph in between.  Bypasses and disjoint contractions
-    commute, so the result equals both ``contract_blocks(bypass_set(d,
-    outside), blocks)`` and ``bypass_set(contract_blocks(d, blocks),
-    outside)``: vertices, arcs and ``merged``.  Every arc carries the
-    semiring's one.  On the {0, 1} carrier that is the value every parser
-    produces, and ``True == 1``; only a hand-built arc holding another nonzero
-    value, such as 2, reads 1 here where the two-step route ORs it in.
+    Bypasses and disjoint contractions commute, so the result equals both
+    ``contract_blocks(bypass_set(d, outside), blocks)`` and
+    ``bypass_set(contract_blocks(d, blocks), outside)``: vertices, arcs and
+    ``merged``.  Off the boolean semiring it is the second, whose fill-in is
+    smaller: an arc sums the products along the routes from block to block
+    through bypassed vertices, or is their least sum on min-plus.  A boolean
+    input takes one ``abstraction_pairs`` call on the arcs, renumbered
+    0..n-1, and every arc carries the semiring's one; only a hand-built arc
+    holding another nonzero value, such as 2, reads 1 here where the
+    two-step route ORs it in.
     """
-    d.require_boolean()
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
+    if d.semiring.name != "boolean":
+        return bypass_set(contract_blocks(d, p.blocks), d.vertices - p.support)
     # Vertex ids may have gaps: position in the sorted ids is the 0-based index.
     ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
     ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))

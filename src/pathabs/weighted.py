@@ -1,13 +1,12 @@
-"""Semiring-weighted detours, their commutation, and the weighted set detour.
+"""Semiring-weighted detours and their commutation.
 
 The weighted detour clears the row and column of the detoured vertex and adds
 the product through it to every other entry; on the boolean semiring this is
 arc-for-arc the plain detour.  Unlike the boolean case, weighted detours need
 not commute: the exact criterion (for cancellative carriers) is a 2-cycle
 between the two vertices plus an asymmetric through-product, and a witness
-entry is returned when it fires.  ``weighted_detour_set`` folds a set in one
-pass; unless addition is idempotent, it refuses when a strong component of two
-or more dropped vertices lies on a route between survivors.
+entry is returned when it fires.  ``weighted_detour`` is the per-vertex
+reference for ``pabstract.detour_set``, which folds a set on any semiring.
 
 A multigraph here is simply a counting-semiring digraph whose arc values are
 multiplicities.
@@ -16,12 +15,9 @@ multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-import numpy as np
-
-from .digraph import Digraph, DigraphError, contract_blocks, scc_labels
-from .pabstract import _fold_detours
+from .digraph import Digraph, DigraphError, contract_blocks
 
 
 def _mul(s, a, b):
@@ -123,37 +119,6 @@ def detours_commute(d: Digraph, v: int, w: int) -> CommutationReport:
             if through_v != through_w:
                 return CommutationReport(commute=False, witness=(x, y))
     return CommutationReport(commute=True)
-
-
-def weighted_detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
-    """Fold weighted detours over a set in one pass of the ``detour_set`` loop.
-
-    Equals the ``weighted_detour`` fold in ascending order.  If one + one = one,
-    addition is idempotent and every order agrees.  Otherwise a strong component
-    of two or more dropped vertices that a survivor reaches, and that reaches
-    one, through dropped vertices, is named in a ``DigraphError``.  Without one,
-    every such route is a simple path and any order sums their products.  The
-    rule is sufficient, not exact: some order-free inputs are refused too.
-    """
-    s = d.semiring
-    vs, arcs = _fold_detours(d, vertices, lambda old, a, b: s.normalize(_add(s, old, s.mul(a, b))))
-    if s.add(s.one, s.one) != s.one:
-        # With every survivor as one vertex k, a dropped vertex lies on a route
-        # between survivors exactly when it shares k's strong component.
-        k, pos = len(vs), {v: i for i, v in enumerate(vs)}
-        ends = [(pos.get(x, k), pos.get(y, k)) for x, y in d.arcs if x in pos or y in pos]
-        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        label = scc_labels(k, *ends[(ends < k).all(axis=1)].T)
-        route = scc_labels(k + 1, *ends.T)
-        cyclic = (route[:k] == route[k]) & (np.bincount(label)[label] > 1)
-        if cyclic.any():
-            c = label[np.argmax(cyclic)]  # the component of the smallest such vertex
-            cycle = ", ".join(str(v) for v, l in zip(vs, label) if l == c)
-            raise DigraphError(
-                f"dropped vertices {{{cycle}}} form a cycle on a route between survivors; "
-                f"on the {s.name} semiring the set detour may depend on the fold order"
-            )
-    return Digraph(d.vertices, arcs, s, dict(d.merged))
 
 
 def weighted_contract_commutes(d: Digraph, u: int, v: int, w: int) -> bool:

@@ -125,6 +125,20 @@ def test_detour_refuses_an_order_dependent_weighted_fold(tmp_path, capsys):
     assert err.startswith("pathabs: error:") and "{1, 3}" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["bypass", "--vertices", "1,2,3"], ["pabstract", "--partition", "blocks.txt"]]
+)
+def test_bypass_and_pabstract_refuse_an_order_dependent_weighted_fold(tmp_path, capsys, command):
+    graph = tmp_path / "w.edges"
+    graph.write_text("1 3 1\n1 5 2\n2 3 2\n3 1 1\n3 5 1\n4 1 3\n4 3 1\n4 5 2\n5 1 3\n5 2 1\n5 4 2\n")
+    (tmp_path / "blocks.txt").write_text("4\n5\n")
+    command = [str(tmp_path / a) if a.endswith(".txt") else a for a in command]
+    code, out, err = run_cli(capsys, *command, "--graph", str(graph), "--semiring", "counting")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pathabs: error:") and "{1, 3}" in err
+
+
 def test_json_graph_input(tmp_path, capsys):
     good = tmp_path / "g.json"
     good.write_text(
@@ -411,6 +425,62 @@ def test_every_output_format_reads_back(tmp_path, capsys, fmt, name):
     )
     assert (code, out) == (0, expected), err
     assert ('"2": [' in out) == (fmt == "json")
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_pabstract_output_reads_back(tmp_path, capsys, fmt, name):
+    semiring = REGISTRY[name]
+    value = semiring.parse_value({"boolean": "1", "counting": "3"}.get(name, "1.25"))
+    arcs = {arc: value for arc in [(1, 3), (3, 4), (2, 3), (4, 6), (6, 1), (2, 9), (9, 4)]}
+    # a merged block and gaps at 5, 7 and 8; 3 is bypassed and 10 is outside the support
+    source = Digraph(frozenset({1, 2, 3, 4, 6, 9, 10}), arcs, semiring, {2: frozenset({2, 5})})
+    graph = tmp_path / "in.json"
+    graph.write_text(serialize_digraph(source, "json"))
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("1 6\n2 9\n4\n")
+    written = tmp_path / f"g.{fmt}"
+    code, _, err = run_cli(
+        capsys, "pabstract", "--graph", str(graph), "--partition", str(blocks),
+        "--semiring", name, "--output-format", fmt, "--output", str(written),
+    )
+    assert code == 0, err
+    empty = tmp_path / "none.txt"
+    empty.write_text("")
+    code, out, err = run_cli(
+        capsys, "contract", "--graph", str(written), "--blocks", str(empty),
+        "--semiring", name, "--output-format", fmt,
+    )
+    assert (code, out) == (0, written.read_text()), err
+    # 1 -> 3 -> 4, and 2 -> 3 -> 4 beside 9 -> 4, pass through the bypassed 3
+    add, mul = semiring.add, semiring.mul
+    merged = {1: frozenset({1, 6}), 2: frozenset({2, 5, 9})}
+    arcs = {(1, 4): mul(value, value), (2, 4): add(value, mul(value, value)), (4, 1): value}
+    assert out == serialize_digraph(Digraph(frozenset({1, 2, 4}), arcs, semiring, merged), fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detour", "--vertex", "2", "--vertices", "3"],
+        ["bypass", "--vertex", "2", "--vertices", "3"],
+        ["pabstract", "--partition", "p.txt", "--labels", "l.txt", "--keep-colors", "1"],
+        ["pabstract", "--partition", "p.txt", "--keep-colors", "1"],
+        ["rand", "mc", "--n", "5", "--p", "0.5", "--trials", "1", "--drop", "2", "--partition", "p.txt"],
+    ],
+    ids=["detour", "bypass", "pabstract", "pabstract-keep-colors", "rand-mc"],
+)
+def test_conflicting_selectors_exit_1(tmp_path, capsys, argv):
+    graph = tmp_path / "tri.edges"
+    graph.write_text("1 2\n2 3\n3 4\n")
+    (tmp_path / "p.txt").write_text("1\n4\n")
+    (tmp_path / "l.txt").write_text("1 1\n2 2\n3 2\n4 1\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    if argv[0] != "rand":
+        argv += ["--graph", str(graph)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "not allowed with" in err or "pass --partition, or --labels with --keep-colors" in err
 
 
 _GRAPH_IN = {"--output", "--semiring"}

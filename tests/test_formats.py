@@ -237,6 +237,16 @@ def test_csv_errors_name_the_row():
         parse_contacts("source,target,time\n0,1,1.0\n")
 
 
+def test_csv_errors_name_the_file_line():
+    # blank lines are skipped but counted: the bad row is on line 4
+    with pytest.raises(ParseError, match="^row 4: malformed vertex id 'x'"):
+        parse_contacts("source,target,time\n\n\n1,x,1.0\n")
+    with pytest.raises(ParseError, match="^row 4: self-loop at 3"):
+        parse_digraph_csv("from,to,value\n1,2,1\n\n3,3,1\n")
+    with pytest.raises(ParseError, match="^row 3: expected three columns"):
+        parse_digraph_csv("from,to,value\n\n1,2\n")
+
+
 def _json(arcs: str, vertices: str = "[1, 2]", blocks: str = "{}") -> str:
     return (
         f'{{"semiring": "boolean", "vertices": {vertices}, "arcs": {arcs}, "blocks": {blocks}}}'

@@ -1,3 +1,7 @@
+import heapq
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -24,9 +28,11 @@ from pathabs import (
 )
 from pathabs.digraph import delete_vertices
 from pathabs.pabstract import is_path_of, is_walk_of
+from pathabs.checks import _or_refusal
 from pathabs.partitions import discrete_partition
+from pathabs.semirings import REGISTRY
 
-from conftest import random_dag, random_digraph
+from conftest import random_dag, random_digraph, route_sums
 
 FIG_LOCAL = Digraph.build(7, [(1, 4), (2, 4), (4, 6), (4, 7), (3, 4), (5, 4), (4, 3), (4, 5)])
 FIG_CYCLIC = Digraph.build(4, [(1, 2), (1, 3), (2, 3), (3, 1), (3, 4), (4, 1)])
@@ -407,20 +413,21 @@ def test_set_bypass_keeps_values_the_fold_keeps():
 
 
 def test_set_bypass_errors_and_empty_set():
-    from pathabs import COUNTING
+    from pathabs import COUNTING, weighted_detour
 
     d = Digraph.build(3, [(1, 2), (2, 3)])
     weighted = Digraph.build(3, {(1, 2): 2, (2, 3): 3}, COUNTING)
     for op in (detour_set, bypass_set):
         with pytest.raises(DigraphError):
             op(d, {2, 9})
-        with pytest.raises(DigraphError):
-            op(weighted, {2})
         # the empty set is the identity on any semiring, merged blocks included
         assert op(d, set()) == d
         assert op(weighted, []) == weighted
         c = contract_blocks(d, [{1, 3}])
         assert op(c, ()) == c
+    # any other semiring folds by the weighted detour
+    assert detour_set(weighted, {2}) == weighted_detour(weighted, 2)
+    assert bypass_set(weighted, {2}) == delete_vertices(weighted_detour(weighted, 2), {2})
 
 
 def _partitions(rng, d):
@@ -484,3 +491,144 @@ def test_path_abstract_writes_one_on_every_arc():
         assert got.vertices == two_step.vertices and got.merged == two_step.merged
         two_step_values |= set(_typed(two_step.arcs).values())
     assert {(int, 2), (int, 3), (bool, True)} <= two_step_values
+
+
+def _three_routes(d, p):
+    """``path_abstract``, bypass-then-contract and contract-then-bypass, each
+    as a digraph or the ``DigraphError`` message it raised."""
+    blocks, outside = list(p.blocks), d.vertices - p.support
+    return (
+        _or_refusal(lambda: path_abstract(d, p)),
+        _or_refusal(lambda: contract_blocks(bypass_set(d, outside), blocks)),
+        _or_refusal(lambda: bypass_set(contract_blocks(d, blocks), outside)),
+    )
+
+
+def _weighted_corpus(rng, semiring):
+    """Digraphs with the semiring's arc values, a planted cycle, a merged block on
+    every other one and id gaps, each with blocks of 1 to 3 of its vertices."""
+    for case in range(200):
+        n = rng.randint(3, 10)
+        d = random_digraph(rng, n, rng.choice((0.2, 0.35, 0.5)), semiring)
+        cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+        d = d.with_arcs({**d.arcs, **{(x, y): semiring.one for x, y in zip(cycle, cycle[1:] + cycle[:1])}})
+        if case % 2 and n >= 4:
+            d = contract_blocks(d, [rng.sample(range(1, n + 1), rng.randint(2, 3))])
+        d = delete_vertices(d, rng.sample(sorted(d.vertices), rng.randint(0, d.n // 3)))
+        kept = rng.sample(sorted(d.vertices), rng.randint(1, d.n))
+        cuts = sorted(rng.sample(range(1, len(kept)), rng.randint(0, len(kept) - 1)))
+        blocks = [kept[i:j] for i, j in zip([0] + cuts, cuts + [len(kept)])]
+        yield d, PartialPartition(n + rng.randint(0, 2), blocks)
+
+
+def _dijkstra_abstraction(d, blocks, outside):
+    """Per block, a multi-source Dijkstra from its members that expands only
+    bypassed vertices; the arc to another block is the least distance to a member."""
+    rep = {v: min(block) for block in blocks for v in block}
+    adj = {v: [] for v in d.vertices}
+    for (x, y), w in d.arcs.items():
+        adj[x].append((y, w))
+    arcs = {}
+    for block in blocks:
+        dist = dict.fromkeys(block, 0.0)
+        heap = [(0.0, v) for v in block]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u] or (u not in block and u not in outside):
+                continue
+            for y, w in adj[u]:
+                if du + w < dist.get(y, math.inf):
+                    dist[y] = du + w
+                    heapq.heappush(heap, (du + w, y))
+        for y, dy in dist.items():
+            if y in rep and rep[y] != min(block):
+                key = (min(block), rep[y])
+                arcs[key] = min(arcs.get(key, math.inf), dy)
+    return arcs
+
+
+def _contracted_route_sums(d, blocks, outside):
+    """``route_sums`` through the bypassed vertices, summed per pair of distinct blocks."""
+    s, rep, acc = d.semiring, {v: min(block) for block in blocks for v in block}, {}
+    for (x, y), value in route_sums(d, outside).items():
+        key = (rep[x], rep[y])
+        if key[0] != key[1]:
+            acc[key] = s.add(acc[key], value) if key in acc else value
+    return {key: value for key, value in acc.items() if s.normalize(value) is not None}
+
+
+def test_path_abstract_on_every_semiring(rng):
+    for name, s in REGISTRY.items():
+        accepted = refused = 0
+        for d, p in _weighted_corpus(rng, s):
+            blocks, outside = list(p.blocks), d.vertices - p.support
+            got, first_bypass, first_contract = _three_routes(d, p)
+            assert got == first_contract
+            if isinstance(got, str):
+                # the order guard refuses both routes, naming the same cycle
+                assert s.add(s.one, s.one) != s.one and first_bypass == got
+                refused += 1
+                continue
+            accepted += 1
+            if isinstance(first_bypass, str):
+                # contracting first cancelled the refused route: a signed sum
+                assert name == "real"
+            else:
+                assert got == first_bypass
+            assert got.vertices == {min(block) for block in blocks}
+            if name == "boolean":
+                assert got == _closure_then_contract(d, outside, blocks)
+            elif name == "minplus-nonneg":
+                assert got.arcs == _dijkstra_abstraction(d, blocks, outside)
+            else:
+                assert got.arcs == _contracted_route_sums(d, blocks, outside)
+        assert accepted > 100
+        if name in ("counting", "real"):
+            assert refused > 5
+
+
+def test_contracting_first_can_cancel_a_refused_route():
+    from pathabs import REAL
+
+    # the cycle {2, 3} sends 1 and -1 into the block {4, 5}
+    d = Digraph.build(5, {(1, 2): 1.0, (2, 3): 1.0, (3, 2): 1.0, (3, 4): 1.0, (3, 5): -1.0}, REAL)
+    p = PartialPartition(5, [{1}, {4, 5}])
+    with pytest.raises(DigraphError, match=re.escape("{2, 3}")):
+        bypass_set(d, {2, 3})
+    got = path_abstract(d, p)
+    assert got == bypass_set(contract_blocks(d, p.blocks), {2, 3})
+    assert got.arcs == {} and got.merged == {4: frozenset({4, 5})}
+
+
+def test_path_abstract_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = {
+        "boolean": st.just(1),
+        "counting": st.integers(1, 3),
+        "real": st.sampled_from((-2.0, -1.0, 1.0, 2.0, 3.0)),
+        "minplus-nonneg": st.sampled_from((0.0, 1.0, 2.5, 4.0)),
+    }
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        s = data.draw(st.sampled_from(list(REGISTRY.values())))
+        n = data.draw(st.integers(3, 8))
+        vertex = st.integers(1, n)
+        pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
+        arcs = st.dictionaries(st.sampled_from(pairs), values[s.name], min_size=n, max_size=3 * n)
+        d = Digraph.build(n, data.draw(arcs), s)
+        d = contract_blocks(d, [data.draw(st.sets(vertex, min_size=2, max_size=3))])
+        d = delete_vertices(d, data.draw(st.sets(st.sampled_from(sorted(d.vertices)), max_size=d.n // 3)))
+        labels = data.draw(st.lists(st.integers(-3, 2), min_size=d.n, max_size=d.n))
+        blocks = [{v for v, b in zip(sorted(d.vertices), labels) if b == j} for j in range(3)]
+        p = PartialPartition(n, [b for b in blocks if b])
+        got, first_bypass, first_contract = _three_routes(d, p)
+        if s.name == "boolean":
+            assert got == _closure_then_contract(d, d.vertices - p.support, list(p.blocks))
+        assert got == first_contract
+        cancelled = s.name == "real" and isinstance(first_bypass, str) and not isinstance(got, str)
+        assert got == first_bypass or cancelled
+
+    agrees()

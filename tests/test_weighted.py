@@ -9,6 +9,7 @@ from pathabs import (
     Digraph,
     DigraphError,
     detour,
+    detour_set,
     detours_commute,
     double_detour,
     induced_subgraph,
@@ -16,12 +17,11 @@ from pathabs import (
     strongly_connected_components,
     weighted_contract_commutes,
     weighted_detour,
-    weighted_detour_set,
 )
 from pathabs.semirings import REGISTRY
 from pathabs.weighted import double_detour_entry
 
-from conftest import random_dag, random_digraph, random_multigraph
+from conftest import random_dag, random_digraph, random_multigraph, route_sums
 
 # counting-semiring multigraph: 1->2, 1->4, a double arc 3->1, 4->1
 MULTI = Digraph.build(4, {(1, 2): 1, (1, 4): 1, (3, 1): 2, (4, 1): 1}, COUNTING)
@@ -165,16 +165,16 @@ def test_detour_set_guard():
     # acyclic: folds freely
     chain = Digraph.build(4, {(1, 2): 2, (2, 3): 1, (3, 4): 3}, COUNTING)
     assert is_acyclic(chain)
-    out = weighted_detour_set(chain, {2, 3})
+    out = detour_set(chain, {2, 3})
     assert out.arcs == {(1, 4): 6}
     # the noncommuting multigraph is cyclic; the online check refuses the fold
     with pytest.raises(DigraphError):
-        weighted_detour_set(MULTI, {1, 4})
+        detour_set(MULTI, {1, 4})
     # a cyclic input whose consecutive detours do commute is allowed
     ring = Digraph.build(4, {(1, 2): 1, (2, 1): 1, (3, 1): 2, (1, 4): 1}, COUNTING)
     report = detours_commute(ring, 3, 4)
     assert report.commute
-    weighted_detour_set(ring, {3, 4})
+    detour_set(ring, {3, 4})
 
 
 # The fold order matters here: (1, 2, 3) gives 4 -> 5 the value 20, (2, 3, 1) gives 15.
@@ -196,38 +196,19 @@ def test_detour_set_refuses_an_order_dependent_fold():
     folds = {_weighted_fold(ORDER_DEPENDENT, order).value(4, 5) for order in permutations((1, 2, 3))}
     assert folds == {20, 15}
     with pytest.raises(DigraphError, match=re.escape("{1, 3}")):
-        weighted_detour_set(ORDER_DEPENDENT, {1, 2, 3})
+        detour_set(ORDER_DEPENDENT, {1, 2, 3})
     # the cycle {3, 4} is entered and left only through the dropped 2 and 5
     d = Digraph.build(6, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 3): 1, (3, 5): 1, (5, 6): 1}, COUNTING)
     assert {_weighted_fold(d, order).value(1, 6) for order in permutations((2, 3, 4, 5))} == {1, 2}
     with pytest.raises(DigraphError, match=re.escape("{3, 4}")):
-        weighted_detour_set(d, {2, 3, 4, 5})
+        detour_set(d, {2, 3, 4, 5})
 
 
 def test_detour_set_real_cancellation_drops_the_arc():
     d = Digraph.build(5, {(1, 2): 1.0, (2, 4): 1.0, (1, 3): 1.0, (3, 4): -1.0, (4, 5): 2.0}, REAL)
     # 1 -> 4 sums to zero after detouring 2 and 3, so detouring 4 links nothing
-    assert weighted_detour_set(d, {2, 3}).arcs == {(4, 5): 2.0}
-    assert weighted_detour_set(d, {2, 3, 4}).arcs == {}
-
-
-def _route_sums(d, dropped):
-    """Semiring sum, per survivor pair x != y, of the arc-value products over
-    simple routes x -> (dropped)* -> y, the direct arc included; zero sums are kept."""
-    s, adj, sums = d.semiring, d.adjacency(), {}
-
-    def walk(x, v, product, seen):
-        for w in adj[v]:
-            value = s.mul(product, d.arcs[(v, w)])
-            if w not in dropped:
-                if w != x:
-                    sums[(x, w)] = s.add(sums[(x, w)], value) if (x, w) in sums else value
-            elif w not in seen:
-                walk(x, w, value, seen | {w})
-
-    for x in sorted(d.vertices - dropped):
-        walk(x, x, s.one, frozenset())
-    return sums
+    assert detour_set(d, {2, 3}).arcs == {(4, 5): 2.0}
+    assert detour_set(d, {2, 3, 4}).arcs == {}
 
 
 def _through_dropped(d, dropped, starts, forward):
@@ -260,7 +241,7 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
             d = Digraph.build(n, arcs, s)
             dropped = frozenset(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
             try:
-                out = weighted_detour_set(d, dropped)
+                out = detour_set(d, dropped)
             except DigraphError as error:
                 refused += 1
                 assert s.add(s.one, s.one) != s.one
@@ -279,7 +260,7 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
             assert exact == {key: (type(value), repr(value)) for key, value in ascending.arcs.items()}
             for order in permutations(dropped):
                 assert _weighted_fold(d, order) == out
-            sums = _route_sums(d, dropped)
+            sums = route_sums(d, dropped)
             kept = {key: s.normalize(value) for key, value in sums.items()}
             cancelled += sum(value is None for value in kept.values())
             assert out.arcs == {key: value for key, value in kept.items() if value is not None}
