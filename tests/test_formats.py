@@ -346,3 +346,38 @@ def test_compact_ids_drop_blocks_in_the_old_numbering():
     assert d.vertices == {2, 3, 5} and d.merged == {2: frozenset({2, 4})}
     text = serialize_digraph(d, "json", compact_ids=True)
     assert parse_digraph_json(text) == Digraph.build(3, [(1, 2), (2, 3)])
+
+
+_CONTACT_HEADER = "source,target,time\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n", "CSV needs the header source,target,time"),
+        (_CONTACT_HEADER + "1,2,0.5\n1,2\n", "row 3: expected three columns"),
+        (_CONTACT_HEADER + "x,2,0.5\n", "row 2: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + "1,y,0.5\n", "row 2: malformed vertex id 'y'"),
+        (_CONTACT_HEADER + "0,1,1.0\n", "row 2: vertex ids are positive, got 0"),
+        (_CONTACT_HEADER + "0,x,1.0\n", "row 2: vertex ids are positive, got 0"),
+        (_CONTACT_HEADER + "1,2,soon\n", "row 2: malformed time 'soon'"),
+        (_CONTACT_HEADER + "1,2,0.5\n2,1,0.5\n1,2,0.50\n", "row 4: duplicate contact (1, 2, 0.5)"),
+        (_CONTACT_HEADER, "contact file holds no contacts"),
+        (_CONTACT_HEADER + "\n\n1,x,1.0\n", "row 4: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + "1,x,0\n1,y,0\n", "row 2: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + "1,2,inf\n1,x,0\n", "row 3: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + "3,3,0.5\n1,2,0.5\n1,2,0.5\n", "row 4: duplicate contact (1, 2, 0.5)"),
+        (_CONTACT_HEADER + "1,2,0.1\n3,3,0.5\n", "contact at 0.5 loops on vertex 3"),
+        (_CONTACT_HEADER + "1,2,0.1\n1,3,inf\n", "contact times must be finite"),
+    ],
+)
+def test_malformed_contact_corpus(text, message):
+    # the earliest bad row wins, and a per-row error beats any loop or infinite time
+    with pytest.raises(ParseError) as info:
+        parse_contacts(text)
+    assert str(info.value) == message
+
+
+def test_contact_tokens_follow_python_number_rules():
+    d = parse_contacts(_CONTACT_HEADER + " 1 , 2 , 0.5 \n1_0,2,1_0.5\n")
+    assert d.triples() == [(1, 2, 0.5), (10, 2, 10.5)] and d.n == 10
