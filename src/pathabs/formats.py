@@ -27,10 +27,12 @@ import io
 import json
 from itertools import chain
 
+import numpy as np
+
 from .digraph import Digraph, DigraphError, _normalized
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
-from .temporal import DTCN, TemporalError
+from .temporal import DTCN, Contact, TemporalError
 
 
 class ParseError(ValueError):
@@ -180,29 +182,19 @@ def _maybe_compact(d: Digraph, compact_ids: bool) -> Digraph:
 
 
 def serialize_digraph(d: Digraph, fmt: str = "edgelist", compact_ids: bool = False) -> str:
-    d = _maybe_compact(d, compact_ids)
-    if fmt == "edgelist":
-        return _to_edgelist(d)
-    if fmt == "json":
-        return _to_json(d)
-    if fmt == "csv":
-        return _to_csv(d)
-    raise ParseError(f"unknown output format {fmt!r}")
+    writers = {"edgelist": _to_edgelist, "json": _to_json, "csv": _to_csv}
+    if fmt not in writers:
+        raise ParseError(f"unknown output format {fmt!r}")
+    return writers[fmt](_maybe_compact(d, compact_ids))
 
 
 def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
-    lines = []
-    if order == list(range(1, len(order) + 1)):
-        lines.append(f"n {len(order)}")
-    else:
-        lines.append("vertices " + " ".join(str(v) for v in order))
-    boolean = d.semiring.name == "boolean"
-    for (x, y) in sorted(d.arcs):
-        if boolean:
-            lines.append(f"{x} {y}")
-        else:
-            lines.append(f"{x} {y} {d.semiring.format_value(d.arcs[(x, y)])}")
+    dense = order == list(range(1, len(order) + 1))
+    lines = [f"n {len(order)}" if dense else "vertices " + " ".join(map(str, order))]
+    value = None if d.semiring.name == "boolean" else d.semiring.format_value
+    for x, y in sorted(d.arcs):
+        lines.append(f"{x} {y}" if value is None else f"{x} {y} {value(d.arcs[(x, y)])}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,9 +203,7 @@ def _to_json(d: Digraph) -> str:
         "n": len(d.vertices),
         "vertices": sorted(d.vertices),
         "semiring": d.semiring.name,
-        "arcs": [
-            {"from": x, "to": y, "value": d.arcs[(x, y)]} for (x, y) in sorted(d.arcs)
-        ],
+        "arcs": [{"from": x, "to": y, "value": d.arcs[(x, y)]} for (x, y) in sorted(d.arcs)],
         "blocks": {str(v): sorted(m) for v, m in sorted(d.merged.items())},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -232,8 +222,7 @@ def _to_csv(d: Digraph) -> str:
     top = max((max(x, y) for (x, y) in d.arcs), default=0)
     if order != list(range(1, top + 1)):
         writer.writerows([v, "", ""] for v in order)
-    for (x, y) in sorted(d.arcs):
-        writer.writerow([x, y, d.semiring.format_value(d.arcs[(x, y)])])
+    writer.writerows([x, y, d.semiring.format_value(d.arcs[(x, y)])] for (x, y) in sorted(d.arcs))
     return out.getvalue()
 
 
@@ -263,12 +252,10 @@ def parse_labels(text: str) -> Coloring:
 
 def parse_partition(text: str, n: int | None = None) -> PartialPartition:
     """One block per line, whitespace-separated vertex ids."""
-    blocks: list[set[int]] = []
-    for lineno, line in _content_lines(text):
-        blocks.append({_vertex(t, "line", lineno) for t in line.split()})
-    top = max((max(b) for b in blocks), default=0)
+    lines = _content_lines(text)
+    blocks = [{_vertex(t, "line", lineno) for t in line.split()} for lineno, line in lines]
     if n is None:
-        n = top
+        n = max((max(b) for b in blocks), default=0)
     try:
         return PartialPartition(n, blocks)
     except PartitionError as exc:
@@ -280,35 +267,46 @@ def serialize_partition(p: PartialPartition) -> str:
 
 
 def parse_contacts(text: str, n: int | None = None) -> DTCN:
-    """Contact CSV with header source,target,time; times are decimal literals."""
-    triples: list[tuple[int, int, float]] = []
-    seen = set()
-    for i, (s, t, time) in _csv_rows(text, "source,target,time"):
-        s, t = _vertex(s, "row", i), _vertex(t, "row", i)
-        try:
-            tau = float(time)
-        except ValueError:
-            raise ParseError(f"row {i}: malformed time {time!r}") from None
-        triple = (s, t, tau)
-        if triple in seen:
-            raise ParseError(f"row {i}: duplicate contact {triple}")
-        seen.add(triple)
-        triples.append(triple)
-    if not triples:
+    """Contact CSV with header source,target,time; times are decimal literals.
+
+    The columns are converted and checked whole; a file that fails is read
+    again row by row, so that the error names its first bad row.
+    """
+    rows = _csv_rows(text, "source,target,time")
+    if not rows:
         raise ParseError("contact file holds no contacts")
-    top = max(max(s, t) for s, t, _ in triples)
-    if n is not None:
-        top = max(top, n)
+    cells = list(zip(*(row for _, row in rows)))
     try:
-        return DTCN.build(top, triples)
-    except TemporalError as exc:
-        raise ParseError(str(exc)) from None
+        src, dst = (np.array(list(map(int, col)), dtype=np.int64) for col in cells[:2])
+        time = np.array(list(map(float, cells[2])), dtype=np.float64)
+    except ValueError:
+        _raise_row_error(rows)
+    top = max(int(src.max()), int(dst.max()), n or 0)
+    d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
+    valid = min(src.min(), dst.min()) >= 1 and np.isfinite(time).all() and not (src == dst).any()
+    if not valid or len(d.src) < len(rows):
+        _raise_row_error(rows)
+    return d
+
+
+def _raise_row_error(rows) -> None:
+    """The first row error: a bad id or time or a repeat, else a loop or an infinite time."""
+    triples: dict[tuple[int, int, float], int] = {}
+    for i, (a, b, tau) in rows:
+        s, t = _vertex(a, "row", i), _vertex(b, "row", i)
+        try:
+            triple = (s, t, float(tau))
+        except ValueError:
+            raise ParseError(f"row {i}: malformed time {tau!r}") from None
+        if triple in triples:
+            raise ParseError(f"row {i}: duplicate contact {triple}")
+        triples[triple] = i
+    for triple, i in triples.items():
+        try:
+            Contact(*triple)
+        except TemporalError as exc:
+            raise ParseError(f"row {i}: {exc}") from None
 
 
 def serialize_contacts(d: DTCN) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["source", "target", "time"])
-    for s, t, tau in d.triples():
-        writer.writerow([s, t, repr(tau)])
-    return out.getvalue()
+    return "source,target,time\n" + "".join([f"{s},{t},{tau!r}\n" for s, t, tau in d.triples()])

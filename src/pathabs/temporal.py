@@ -1,17 +1,16 @@
 """Directed temporal contact networks and their detours and contractions.
 
-A contact network is a finite set of (source, target, time) triples.  Its
-layered (temporal) digraph has one vertex per (vertex, fiber time) pair,
-temporal arcs chaining consecutive times at a vertex, and one spatial arc per
-contact; time-respecting paths of the network are ordinary paths there.
+A contact network is a finite set of (source, target, time) triples, held as
+sorted numpy columns (see ``DTCN``).  Its layered (temporal) digraph has one
+vertex per (vertex, fiber time) pair, temporal arcs chaining consecutive times
+at a vertex, and one spatial arc per contact; time-respecting paths of the
+network are ordinary paths there.
 
 Detouring a vertex set bypasses all of its layers inside the layered digraph
 and reads each surviving cross-vertex arc back as a contact stamped with the
-later of its two layer times.  Inside the dropped layers an arc either climbs
-a fiber, to a strictly later time, or is a contact, at one instant; so every
-cycle stays within one instant, and the detour is one sweep over the contacts
-in descending time that closes each instant's cycles by a small search.  The
-layered digraph itself is built only for inspection and as the test oracle.
+later of its two layer times, by one sweep over the contacts in descending
+time (see ``_detour_columns``).  The layered digraph itself is built only for
+inspection and as the test oracle.
 Sentinel times are the IEEE infinities; contact times must be finite and
 sentinels are never serialized.
 """
@@ -20,7 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .digraph import Digraph
 from .partitions import PartialPartition, PartitionError
@@ -51,41 +54,65 @@ class Contact:
             raise TemporalError("contact times must be finite")
 
 
-@dataclass(frozen=True)
 class DTCN:
     """A vertex set plus a finite set of distinct timed contacts.
 
-    Detour results may legitimately have no contacts left; parsers and
-    samplers reject empty networks at the interface instead.
+    The contacts are read-only columns ``src``, ``dst`` (int64) and ``time``
+    sorted by (source, target, time); ``contacts`` is the same set as
+    ``Contact`` values, built on first use.  A detour may leave no contacts;
+    parsers and samplers reject empty networks at the interface instead.
     """
 
-    vertices: frozenset[int]
-    contacts: frozenset[Contact]
-
-    def __post_init__(self):
-        for c in self.contacts:
-            if c.source not in self.vertices or c.target not in self.vertices:
+    def __init__(self, vertices: Iterable[int], contacts: Iterable[Contact]):
+        vertices, contacts = frozenset(vertices), frozenset(contacts)
+        for c in contacts:
+            if c.source not in vertices or c.target not in vertices:
                 raise TemporalError(f"contact {c} leaves the vertex set")
+        columns = [[getattr(c, f) for c in contacts] for f in ("source", "target", "time")]
+        vars(self).update(vars(DTCN._of(vertices, *columns)), contacts=contacts)
+
+    @classmethod
+    def _of(cls, vertices: frozenset[int], src, dst, time) -> "DTCN":
+        """A network from unchecked columns in any order, repeats allowed."""
+        src, dst, time = np.asarray(src, "i8"), np.asarray(dst, "i8"), np.asarray(time, "f8")
+        order = np.lexsort((time, dst, src))
+        src, dst, time = src[order], dst[order], time[order]
+        fresh = np.ones(len(src), dtype=bool)
+        fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (time[1:] != time[:-1])
+        d = cls.__new__(cls)
+        d.vertices, d.src, d.dst, d.time = vertices, src[fresh], dst[fresh], time[fresh]
+        d.src.flags.writeable = d.dst.flags.writeable = d.time.flags.writeable = False
+        return d
 
     @staticmethod
     def build(n: int, triples: Iterable[tuple[int, int, float]]) -> "DTCN":
-        contacts = frozenset(Contact(int(s), int(t), float(tau)) for s, t, tau in triples)
-        return DTCN(frozenset(range(1, n + 1)), contacts)
+        return DTCN(range(1, n + 1), (Contact(int(s), int(t), float(tau)) for s, t, tau in triples))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def contacts(self) -> frozenset[Contact]:
+        return frozenset(Contact(*row) for row in self.triples())
+
     def triples(self) -> list[tuple[int, int, float]]:
-        return sorted((c.source, c.target, c.time) for c in self.contacts)
+        return list(zip(self.src.tolist(), self.dst.tolist(), self.time.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, DTCN):
+            return NotImplemented
+        return self.vertices == other.vertices and self.triples() == other.triples()
+
+    def __hash__(self):
+        return hash((self.vertices, len(self.src)))
 
 
 def temporal_fiber(d: DTCN, v: int) -> tuple[float, ...]:
     """Times at which v touches a contact, wrapped in -inf/+inf sentinels."""
     if v not in d.vertices:
         raise TemporalError(f"vertex {v} is not in the network")
-    times = {c.time for c in d.contacts if c.source == v or c.target == v}
-    return (NEG_INF, *sorted(times), POS_INF)
+    return (NEG_INF, *np.unique(d.time[(d.src == v) | (d.dst == v)]).tolist(), POS_INF)
 
 
 @dataclass(frozen=True)
@@ -107,9 +134,7 @@ class TemporalDigraph:
     def to_digraph(self) -> tuple[Digraph, dict[tuple[int, float], int]]:
         """Boolean digraph over layer indices (1-based, sorted layer order)."""
         index = {layer: i + 1 for i, layer in enumerate(self.layers)}
-        arcs = {}
-        for a, b in self.spatial_arcs | self.temporal_arcs:
-            arcs[(index[a], index[b])] = 1
+        arcs = {(index[a], index[b]): 1 for a, b in self.spatial_arcs | self.temporal_arcs}
         return Digraph.build(len(self.layers), arcs), index
 
 
@@ -119,15 +144,15 @@ def build_temporal_digraph(d: DTCN) -> TemporalDigraph:
     Sorted layers of one vertex are its fiber in order, so the temporal arcs
     are the consecutive layer pairs that share a vertex.
     """
-    ends = {(v, c.time) for c in d.contacts for v in (c.source, c.target)}
+    heads = list(zip(d.src.tolist(), d.time.tolist()))
+    tails = list(zip(d.dst.tolist(), d.time.tolist()))
     sentinels = [(v, t) for v in d.vertices for t in (NEG_INF, POS_INF)]
-    layers = tuple(sorted([*ends, *sentinels]))
+    layers = tuple(sorted({*heads, *tails, *sentinels}))
     temporal = frozenset((a, b) for a, b in zip(layers, layers[1:]) if a[0] == b[0])
-    spatial = {((c.source, c.time), (c.target, c.time)) for c in d.contacts}
-    return TemporalDigraph(layers, frozenset(spatial), temporal)
+    return TemporalDigraph(layers, frozenset(zip(heads, tails)), temporal)
 
 
-def _detour_triples(d: DTCN, drop: frozenset[int]) -> set[tuple[int, int, float]]:
+def _detour_columns(d: DTCN, drop: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cross-vertex arcs of the layered digraph after bypassing drop's layers.
 
     Survivor-to-survivor contacts stay.  An entry contact (x, u, t1) into a
@@ -141,20 +166,18 @@ def _detour_triples(d: DTCN, drop: frozenset[int]) -> set[tuple[int, int, float]
     later.  At each instant, exits first join their source's reach; then the
     inner contacts of that instant are closed by a small search, each source
     taking the union of reach over the dropped vertices it reaches; last,
-    entries emit their triples.
+    entries emit their triples.  The columns returned may repeat a contact.
     """
-    triples: set[tuple[int, int, float]] = set()
-    by_time: dict[float, list[tuple[int, int]]] = {}
-    for c in d.contacts:
-        if c.source in drop or c.target in drop:
-            by_time.setdefault(c.time, []).append((c.source, c.target))
-        else:
-            triples.add((c.source, c.target, c.time))
+    kept = ~(np.isin(d.src, list(drop)) | np.isin(d.dst, list(drop)))
+    swept = np.flatnonzero(~kept)
+    swept = swept[np.argsort(-d.time[swept])]
+    rows = zip(d.time[swept].tolist(), d.src[swept].tolist(), d.dst[swept].tolist())
+    emitted = []
     reach: dict[int, set[tuple[int, float]]] = {}
-    for tau in sorted(by_time, reverse=True):
+    for tau, instant in groupby(rows, key=lambda row: row[0]):
         inner: dict[int, list[int]] = {}
         entries = []
-        for s, t in by_time[tau]:
+        for _, s, t in instant:
             if t not in drop:
                 reach.setdefault(s, set()).add((t, tau))
             elif s in drop:
@@ -162,8 +185,7 @@ def _detour_triples(d: DTCN, drop: frozenset[int]) -> set[tuple[int, int, float]
             else:
                 entries.append((s, t))
         for u in inner:
-            seen = {u}
-            stack = [u]
+            seen, stack = {u}, [u]
             while stack:
                 for w in inner.get(stack.pop(), ()):
                     if w not in seen:
@@ -180,29 +202,23 @@ def _detour_triples(d: DTCN, drop: frozenset[int]) -> set[tuple[int, int, float]
                 if t2 < tau:
                     raise TemporalInvariantError(f"exit at {t2} precedes its entry at {tau}")
                 if y != x:
-                    triples.add((x, y, t2))
-    return triples
+                    emitted.append((x, y, t2))
+    new = zip(*emitted) if emitted else ((), (), ())
+    return [np.r_[c[kept], np.array(x, c.dtype)] for c, x in zip((d.src, d.dst, d.time), new)]
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
     """Bypass every layer of the dropped vertices; read arcs back as contacts.
 
-    The whole set is bypassed at once, by one descending-time sweep over the
-    contacts that equals bypassing its layers in the layered digraph: a cycle
-    through dropped layers cannot climb a fiber, which always goes later, so
-    it stays within one instant (see ``_detour_triples``).  Folding
-    single-vertex detours is a different (noncommuting) operation, so
-    sequencing matters to callers who do it.
+    The whole set is bypassed at once, by one descending-time sweep (see
+    ``_detour_columns``).  Folding single-vertex detours is a different
+    (noncommuting) operation, so sequencing matters to callers who do it.
     """
     drop_set = frozenset(drop)
     extra = drop_set - d.vertices
     if extra:
         raise TemporalError(f"vertices {sorted(extra)} are not in the network")
-    if not drop_set:
-        return d
-    triples = _detour_triples(d, drop_set)
-    survivors = d.vertices - drop_set
-    return DTCN(survivors, frozenset(Contact(s, t, tau) for s, t, tau in triples))
+    return DTCN._of(d.vertices - drop_set, *_detour_columns(d, drop_set))
 
 
 def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
@@ -213,19 +229,18 @@ def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
     """
     if v not in d.vertices:
         raise TemporalError(f"vertex {v} is not in the network")
-    kept = {c for c in d.contacts if c.source != v and c.target != v}
     into = [c for c in d.contacts if c.target == v]
     outof = [c for c in d.contacts if c.source == v]
-    for a in into:
-        for b in outof:
-            if a.source != b.target and a.time <= b.time:
-                kept.add(Contact(a.source, b.target, b.time))
-    return DTCN(d.vertices - {v}, frozenset(kept))
+    kept = {c for c in d.contacts if v not in (c.source, c.target)}
+    spliced = ((a, b) for a in into for b in outof if a.source != b.target and a.time <= b.time)
+    kept |= {Contact(a.source, b.target, b.time) for a, b in spliced}
+    return DTCN(d.vertices - {v}, kept)
 
 
 def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
     """Re-address contacts to block representatives; internal contacts drop."""
-    norm = []
+    order = np.array(sorted(d.vertices), dtype=np.int64)
+    rep = order.copy()
     seen: set[int] = set()
     for b in blocks:
         fs = frozenset(int(x) for x in b)
@@ -236,31 +251,20 @@ def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
         if fs & seen:
             raise TemporalError("blocks must be pairwise disjoint")
         seen |= fs
-        norm.append(fs)
-    vmap = {v: v for v in d.vertices}
-    for fs in norm:
-        rep = min(fs)
-        for m in fs:
-            vmap[m] = rep
-    contacts = set()
-    for c in d.contacts:
-        s, t = vmap[c.source], vmap[c.target]
-        if s != t:
-            contacts.add(Contact(s, t, c.time))
-    return DTCN(frozenset(vmap.values()), frozenset(contacts))
+        rep[np.searchsorted(order, sorted(fs))] = min(fs)
+    src, dst = rep[np.searchsorted(order, d.src)], rep[np.searchsorted(order, d.dst)]
+    cross = src != dst
+    return DTCN._of(frozenset(rep.tolist()), src[cross], dst[cross], d.time[cross])
 
 
 def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:
     """Detour everything outside the support, then contract the blocks."""
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
-    outside = d.vertices - p.support
-    return dtcn_contract(dtcn_detour(d, outside), list(p.blocks))
+    return dtcn_contract(dtcn_detour(d, d.vertices - p.support), list(p.blocks))
 
 
-def sample_dtcn(
-    n: int, p: float, mode: str, seed: int, max_retries: int = 0
-) -> DTCN:
+def sample_dtcn(n: int, p: float, mode: str, seed: int, max_retries: int = 0) -> DTCN:
     """Random contact network on 1..n with times uniform in [0, 1].
 
     ``uniform`` makes each ordered pair a contact with probability p, drawn
@@ -285,8 +289,7 @@ def sample_dtcn(
             dst = rng.integers(0, n - 1, size=total)
             dst += dst >= src
         if len(src):
-            times = rng.random(len(src))
-            return DTCN.build(n, zip((src + 1).tolist(), (dst + 1).tolist(), times.tolist()))
+            return DTCN._of(frozenset(range(1, n + 1)), src + 1, dst + 1, rng.random(len(src)))
     raise TemporalError(f"sampled an empty contact network (p={p}); raise max_retries or p")
 
 
@@ -307,15 +310,13 @@ def lint_equal_time_chains(d: DTCN) -> list[tuple[Contact, Contact]]:
     """Contact pairs chained head-to-tail at exactly the same instant.
 
     The layered digraph treats such chains as traversable; files that rely on
-    simultaneous hops deserve a warning rather than silent acceptance.
+    simultaneous hops deserve a warning rather than silent acceptance.  Each
+    contact's (target, time) is looked up among the stably sorted (source, time).
     """
-    by_source: dict[tuple[int, float], list[Contact]] = {}
-    for c in d.contacts:
-        by_source.setdefault((c.source, c.time), []).append(c)
-    flagged = []
-    for c in d.contacts:
-        for nxt in by_source.get((c.target, c.time), ()):
-            flagged.append((c, nxt))
-    flagged.sort(key=lambda pair: (pair[0].source, pair[0].target, pair[0].time,
-                                   pair[1].source, pair[1].target))
-    return flagged
+    _, rank = np.unique(d.time, return_inverse=True)
+    leave, arrive = (ends * (len(rank) + 1) + rank for ends in (d.src, d.dst))
+    order = np.argsort(leave, kind="stable")
+    lo, hi = (np.searchsorted(leave[order], arrive, side) for side in ("left", "right"))
+    hits = [(i, j) for i in np.flatnonzero(hi > lo).tolist() for j in order[lo[i] : hi[i]].tolist()]
+    rows = d.triples() if hits else []
+    return [(Contact(*rows[i]), Contact(*rows[j])) for i, j in hits]

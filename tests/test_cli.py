@@ -1,5 +1,10 @@
 import argparse
+import hashlib
 import importlib.resources as resources
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -540,3 +545,32 @@ def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
     assert (code, out) == (0, "n 3\n1 3\n")
     code, _, err = run_cli(capsys, "rand", "mc", "--n", "5", "--p", "0.5", "--trials", "1")
     assert code == 1 and "PATHABS_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "mode, seed, digest",
+    [
+        ("uniform", "5", "f5a9bb3ade850e7a4a7cbe4f10c54f1a571f0ab45208b3e75574e580711da0f1"),
+        ("uniform", "6", "48e9f9d7f67259ca65883f62dfd871ea568f349e225bebc2872fb9639e3ed3ca"),
+        ("poisson", "5", "5e759df9cf9ea4d3dff50719ae63ea2aceaddb0b2cd7b9b8c97354bf6438eeee"),
+        ("poisson", "6", "16d0537e1bbaa19469c4026fb4a031f6d70bbbdd5bc166e9c4963df95bf85dc0"),
+    ],
+)
+def test_dtcn_sample_output_is_pinned(capsys, mode, seed, digest):
+    # the sampler's draws and the writer's bytes: a change to either shows here
+    code, out, _ = run_cli(
+        capsys, "dtcn", "sample", "--n", "60", "--p", "0.05", "--mode", mode, "--seed", seed
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathabs", "dtcn", "sample", "--n", "10", "--p", "0.3", "--seed", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("source,target,time\n")

@@ -367,8 +367,8 @@ _CONTACT_HEADER = "source,target,time\n"
         (_CONTACT_HEADER + "1,x,0\n1,y,0\n", "row 2: malformed vertex id 'x'"),
         (_CONTACT_HEADER + "1,2,inf\n1,x,0\n", "row 3: malformed vertex id 'x'"),
         (_CONTACT_HEADER + "3,3,0.5\n1,2,0.5\n1,2,0.5\n", "row 4: duplicate contact (1, 2, 0.5)"),
-        (_CONTACT_HEADER + "1,2,0.1\n3,3,0.5\n", "contact at 0.5 loops on vertex 3"),
-        (_CONTACT_HEADER + "1,2,0.1\n1,3,inf\n", "contact times must be finite"),
+        (_CONTACT_HEADER + "1,2,0.1\n3,3,0.5\n", "row 3: contact at 0.5 loops on vertex 3"),
+        (_CONTACT_HEADER + "1,2,0.1\n1,3,inf\n", "row 3: contact times must be finite"),
     ],
 )
 def test_malformed_contact_corpus(text, message):

@@ -274,3 +274,67 @@ def test_lint_equal_time_chains():
     a, b = flagged[0]
     assert (a.source, a.target) == (1, 2) and (b.source, b.target) == (2, 3)
     assert lint_equal_time_chains(HANDOFF) == []
+
+
+def _dict_lint(d: DTCN) -> list[tuple[Contact, Contact]]:
+    """The dict-of-contacts equal-time lint that the sort-join replaced, as an oracle."""
+    by_source: dict[tuple[int, float], list[Contact]] = {}
+    for c in d.contacts:
+        by_source.setdefault((c.source, c.time), []).append(c)
+    flagged = []
+    for c in d.contacts:
+        for nxt in by_source.get((c.target, c.time), ()):
+            flagged.append((c, nxt))
+    flagged.sort(key=lambda pair: (pair[0].source, pair[0].target, pair[0].time,
+                                   pair[1].source, pair[1].target))
+    return flagged
+
+
+def test_lint_matches_the_dict_oracle(rng):
+    hits = 0
+    for _ in range(200):
+        d, _ = equal_time_network(rng, rng.randint(3, 8))
+        expected = _dict_lint(d)
+        assert lint_equal_time_chains(d) == expected, d.triples()
+        hits += bool(expected)
+    assert hits > 100
+    assert lint_equal_time_chains(DTCN(frozenset({1, 2}), frozenset())) == []
+
+
+def test_columns_keep_the_value_semantics():
+    hypothesis = pytest.importorskip("hypothesis")
+    from pathabs.formats import parse_contacts, serialize_contacts
+
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def agrees(data):
+        n = data.draw(st.integers(2, 9))
+        # a vertex subset leaves gaps in the ids; grid times make equal instants
+        vertices = sorted(data.draw(st.sets(st.integers(1, n), min_size=2)))
+        vertex = st.sampled_from(vertices)
+        time = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(-5, 5, allow_nan=False))
+        contact = st.tuples(vertex, vertex, time).filter(lambda c: c[0] != c[1])
+        triples = data.draw(st.lists(contact, max_size=16))
+        contacts = frozenset(Contact(*t) for t in triples)
+        d = DTCN.build(n, triples)
+        assert DTCN(range(1, n + 1), contacts) == d and d.contacts == contacts
+        assert d.triples() == sorted(set(triples))
+        if triples:  # the reader refuses a file without contacts
+            assert parse_contacts(serialize_contacts(d), n=d.n) == d
+        gapped = DTCN(vertices, contacts)
+        kept = data.draw(st.lists(st.sampled_from(vertices), unique=True, min_size=1))
+        cut = data.draw(st.integers(0, len(kept)))
+        partition = PartialPartition(n, [b for b in (kept[:cut], kept[cut:]) if b])
+        rep = {v: min(b) for b in partition.blocks for v in b}
+        outside = gapped.vertices - partition.support
+        expected = {
+            (rep[x], rep[y], tau)
+            for x, y, tau in layered_detour_oracle(gapped, outside)
+            if rep[x] != rep[y]
+        }
+        out = dtcn_path_abstract(gapped, partition)
+        assert set(out.triples()) == expected and out.vertices == set(rep.values())
+
+    agrees()
