@@ -69,6 +69,7 @@ class DTCN:
             if c.source not in vertices or c.target not in vertices:
                 raise TemporalError(f"contact {c} leaves the vertex set")
         columns = [[getattr(c, f) for c in contacts] for f in ("source", "target", "time")]
+        # the columns as ``_of`` builds them, and the given set as the cached ``contacts``
         vars(self).update(vars(DTCN._of(vertices, *columns)), contacts=contacts)
 
     @classmethod
@@ -152,7 +153,7 @@ def build_temporal_digraph(d: DTCN) -> TemporalDigraph:
     return TemporalDigraph(layers, frozenset(zip(heads, tails)), temporal)
 
 
-def _detour_columns(d: DTCN, drop: frozenset[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     """Cross-vertex arcs of the layered digraph after bypassing drop's layers.
 
     Survivor-to-survivor contacts stay.  An entry contact (x, u, t1) into a
