@@ -290,7 +290,7 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
 
 
 def _raise_row_error(rows) -> None:
-    """Raise the first bad row's error: an id, a time or a repeat, then a loop or an infinite time."""
+    """Raise the first bad row's error; loops and infinite times come after every other check."""
     triples: dict[tuple[int, int, float], int] = {}
     for i, (a, b, tau) in rows:
         s, t = _vertex(a, "row", i), _vertex(b, "row", i)
