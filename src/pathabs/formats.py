@@ -281,8 +281,7 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
         time = np.array(list(map(float, cells[2])), dtype=np.float64)
     except ValueError:
         _raise_row_error(rows)
-    top = max(int(src.max()), int(dst.max()), n or 0)
-    d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
+    d = DTCN._of(frozenset(range(1, max(src.max(), dst.max(), n or 0) + 1)), src, dst, time)
     valid = min(src.min(), dst.min()) >= 1 and np.isfinite(time).all() and not (src == dst).any()
     if not valid or len(d.src) < len(rows):
         _raise_row_error(rows)

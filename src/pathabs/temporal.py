@@ -170,8 +170,7 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     entries emit their triples.  The columns returned may repeat a contact.
     """
     kept = ~(np.isin(d.src, list(drop)) | np.isin(d.dst, list(drop)))
-    swept = np.flatnonzero(~kept)
-    swept = swept[np.argsort(-d.time[swept])]
+    swept = np.flatnonzero(~kept)[np.argsort(-d.time[~kept])]
     rows = zip(d.time[swept].tolist(), d.src[swept].tolist(), d.dst[swept].tolist())
     emitted = []
     reach: dict[int, set[tuple[int, float]]] = {}
@@ -314,8 +313,10 @@ def lint_equal_time_chains(d: DTCN) -> list[tuple[Contact, Contact]]:
     simultaneous hops deserve a warning rather than silent acceptance.  Each
     contact's (target, time) is looked up among the stably sorted (source, time).
     """
+    # ranks of times and of vertex ids keep the joined keys below len(d.src) ** 2 * 2
     _, rank = np.unique(d.time, return_inverse=True)
-    leave, arrive = (ends * (len(rank) + 1) + rank for ends in (d.src, d.dst))
+    _, ids = np.unique(np.r_[d.src, d.dst], return_inverse=True)
+    leave, arrive = (ends * (len(rank) + 1) + rank for ends in np.split(ids, 2))
     order = np.argsort(leave, kind="stable")
     lo, hi = (np.searchsorted(leave[order], arrive, side) for side in ("left", "right"))
     hits = [(i, j) for i in np.flatnonzero(hi > lo).tolist() for j in order[lo[i] : hi[i]].tolist()]

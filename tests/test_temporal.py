@@ -299,6 +299,10 @@ def test_lint_matches_the_dict_oracle(rng):
         hits += bool(expected)
     assert hits > 100
     assert lint_equal_time_chains(DTCN(frozenset({1, 2}), frozenset())) == []
+    # with raw ids in an int64 key, 2**62 + 1 and 1 would collide at three contacts
+    big = 2**62 + 1
+    wide = DTCN({1, 2, 3, big}, {Contact(2, big, 0.5), Contact(1, 3, 0.5), Contact(3, 2, 0.7)})
+    assert lint_equal_time_chains(wide) == _dict_lint(wide) == []
 
 
 def test_columns_keep_the_value_semantics():
