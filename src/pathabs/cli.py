@@ -198,14 +198,7 @@ def _cmd_paths(args):
 
 def _cmd_rand_stats(args):
     sizes = _int_list(args.blocks)
-    dropped = args.dropped
-    if dropped is None:
-        dropped = args.n - sum(sizes)
-    if args.n - sum(sizes) != dropped:
-        raise CliError(
-            f"--dropped {dropped} disagrees with n minus total block size "
-            f"({args.n} - {sum(sizes)})"
-        )
+    dropped = args.n - sum(sizes)
     # The published reference constants use one fewer survival composition
     # than the dropped-vertex count; stats mirrors them so figures reproduce.
     iterations = max(dropped - 1, 0)
@@ -377,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--blocks", required=True, help="comma-separated block sizes")
-    p.add_argument("--dropped", type=int, default=None)
 
     p = _command(randsub, "mc", _cmd_rand_mc, "Monte Carlo abstraction frequencies", _add_seed)
     p.add_argument("--n", type=int, required=True)

@@ -53,6 +53,8 @@ def _vertex(token: str, unit: str, index, allow_zero: bool = False) -> int:
         raise ParseError(f"{unit} {index}: malformed vertex id {token!r}") from None
     if value < (0 if allow_zero else 1):
         raise ParseError(f"{unit} {index}: vertex ids are positive, got {value}")
+    if value > 2**63 - 1:  # the abstractions hold vertex ids in int64 arrays
+        raise ParseError(f"{unit} {index}: vertex ids are at most {2**63 - 1}, got {value}")
     return value
 
 
@@ -279,7 +281,7 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
     try:
         src, dst = (np.array(list(map(int, col)), dtype=np.int64) for col in cells[:2])
         time = np.array(list(map(float, cells[2])), dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):
         _raise_row_error(rows)
     d = DTCN._of(frozenset(range(1, max(src.max(), dst.max(), n or 0) + 1)), src, dst, time)
     valid = min(src.min(), dst.min()) >= 1 and np.isfinite(time).all() and not (src == dst).any()

@@ -8,17 +8,17 @@ the paths of the bypassed digraph.
 
 A path abstraction bypasses everything outside a partial partition's support
 and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
-on arc arrays: ``path_abstract`` wraps it for a ``Digraph`` and the Monte Carlo
-in ``random`` calls it per trial, so no bypassed fill-in digraph is built.
-``detour_set`` and ``bypass_set`` build the bypass itself on any semiring,
-whose addition picks the detour rule.
+on arc arrays: ``path_abstract`` wraps it for a ``Digraph``, the Monte Carlo in
+``random`` calls it per trial, and on the boolean semiring ``detour_set`` and
+``bypass_set`` call it with each survivor its own block, since a bypass is the
+path abstraction that merges nothing.  Other semirings fold the detours.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,18 +56,31 @@ def bypass(d: Digraph, v: int) -> Digraph:
     return delete_vertices(detour(d, v), [v])
 
 
-def _fold_detours(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
-    """The dropped vertices, ascending, and the arcs after detouring at each in turn.
+def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
+    """The dropped vertices, ascending, and the survivors' arcs once they are bypassed.
 
-    Successor and predecessor value maps are built once and rewired in place:
-    the detour at v unlinks v and links each predecessor x to each distinct
-    successor y.  On the boolean semiring dict unions write one there, as
-    ``detour`` does; on any other, (x, y) becomes normalize(old +
-    mu(x, v)·mu(v, y)), as ``weighted.weighted_detour`` does.
-    """
+    Boolean: a survivor pair that ``abstraction_pairs``, one block per survivor, joins gets
+    one, as ``detour`` writes; other survivor arcs keep their values."""
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)
+    if d.semiring.name != "boolean":
+        return vs, _fold_detours(d, vs)
+    kept = np.array(sorted(d.vertices.difference(vs)), dtype=np.int64)
+    src, dst, block_of = _block_map(d, kept, np.arange(len(kept)))
+    touch = (block_of[src] < 0) | (block_of[dst] < 0)
+    arcs = dict(compress(d.arcs.items(), (~touch).tolist()))
+    j, k = np.divmod(abstraction_pairs(src[touch], dst[touch], block_of, len(kept)), len(kept))
+    arcs.update(dict.fromkeys(zip(kept[j].tolist(), kept[k].tolist()), d.semiring.one))
+    return vs, arcs
+
+
+def _fold_detours(d: Digraph, vs: list[int]) -> dict:
+    """The arcs after detouring at each of ``vs`` in turn, off the boolean semiring.
+
+    Successor and predecessor value maps are built once and rewired in place:
+    each predecessor x and distinct successor y of v get normalize(old +
+    mu(x, v)·mu(v, y)), as ``weighted.weighted_detour`` does."""
     s = d.semiring
     if s.add(s.one, s.one) != s.one:  # addition is not idempotent
         _require_order_free(d, vs)
@@ -81,13 +94,6 @@ def _fold_detours(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]
             del succ[x][v]
         for y in ss:
             del pred[y][v]
-        if s.name == "boolean":
-            for ends, others, maps in ((ps, ss, succ), (ss, ps, pred)):
-                ones = dict.fromkeys(others, s.one)
-                for x in ends:
-                    maps[x].update(ones)
-                    maps[x].pop(x, None)
-            continue
         for x, a in ps.items():
             for y, b in ss.items():
                 if x != y:
@@ -96,7 +102,7 @@ def _fold_detours(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]
                     value = succ[x][y] = pred[y][x] = s.normalize(total)
                     if value is None:
                         del succ[x][y], pred[y][x]
-    return vs, {(x, y): value for x, ys in succ.items() for y, value in ys.items()}
+    return {(x, y): value for x, ys in succ.items() for y, value in ys.items()}
 
 
 def _require_order_free(d: Digraph, vs: list[int]) -> None:
@@ -125,23 +131,17 @@ def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, in one pass; the set stays, isolated.
 
     Equal to folding ``detour`` (boolean) or ``weighted.weighted_detour`` in
-    ascending vertex order, but the adjacency maps are built once and one
-    ``Digraph`` at the end, so the cost is O(n + m) plus the sum over the set
-    of |pred(v)|·|succ(v)| at v's turn, instead of O(k·m) for k rebuilds.
-    When addition is idempotent every order agrees; otherwise a set whose
-    fold might depend on the order raises ``DigraphError``.
-    """
-    _, arcs = _fold_detours(d, vertices)
+    ascending vertex order.  Boolean time is that of ``abstraction_pairs`` with a
+    block per survivor; otherwise O(n + m) plus the sum over the set of
+    |pred(v)|·|succ(v)| at v's turn.  When addition is idempotent every order
+    agrees; otherwise a set whose fold might depend on the order raises ``DigraphError``."""
+    _, arcs = _bypass_arcs(d, vertices)
     return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
 
 
 def bypass_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
-    """Detour at every vertex of a set, then delete the set, in one pass.
-
-    The survivors' digraph is built straight from the ``detour_set`` fold,
-    which leaves the set isolated, at the same cost.
-    """
-    vs, arcs = _fold_detours(d, vertices)
+    """Detour at every vertex of a set, then delete the set, in one pass."""
+    vs, arcs = _bypass_arcs(d, vertices)
     survivors = d.vertices.difference(vs)
     merged = {v: m for v, m in d.merged.items() if v in survivors}
     return Digraph(survivors, arcs, d.semiring, merged)
@@ -239,13 +239,24 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
         for c, s in zip(cs[order].tolist(), cd[order].tolist()):
             reach[c] |= reach[s]
         j = bs[entries]
-        e, k = np.nonzero(reach[label[pos[dst[entries]]]])
+        e, k = np.divmod(np.flatnonzero(reach[label[pos[dst[entries]]]]), m)  # 2-D nonzero is slow
         other = k != j[e]
         ids.append(j[e][other] * m + k[other])
     # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's
     # hash-based np.unique is about fifteen times slower on a few thousand ids.
     ids = np.sort(np.concatenate(ids))
     return ids[np.diff(ids, prepend=-1) != 0]
+
+
+def _block_map(d: Digraph, members: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Arc tails and heads as indices into d's ascending vertex ids, which may have gaps,
+    and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest."""
+    ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
+    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))
+    ends = np.searchsorted(ids, ends)
+    block_of = np.full(d.n, -1, dtype=np.int64)
+    block_of[np.searchsorted(ids, members)] = blocks
+    return ends[0::2], ends[1::2], block_of
 
 
 def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
@@ -266,16 +277,11 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
         raise PartitionError("partition support must lie inside the vertex set")
     if d.semiring.name != "boolean":
         return bypass_set(contract_blocks(d, p.blocks), d.vertices - p.support)
-    # Vertex ids may have gaps: position in the sorted ids is the 0-based index.
-    ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
-    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))
-    ends = np.searchsorted(ids, ends)
     m = len(p.blocks)
     members = np.fromiter(chain.from_iterable(p.blocks), dtype=np.int64)
-    block_of = np.full(d.n, -1, dtype=np.int64)
-    block_of[np.searchsorted(ids, members)] = np.repeat(np.arange(m), [len(b) for b in p.blocks])
+    src, dst, block_of = _block_map(d, members, np.repeat(np.arange(m), [len(b) for b in p.blocks]))
     reps = [min(block) for block in p.blocks]
-    j, k = np.divmod(abstraction_pairs(ends[0::2], ends[1::2], block_of, m), m)
+    j, k = np.divmod(abstraction_pairs(src, dst, block_of, m), m)
     rep = np.array(reps, dtype=np.int64)
     arcs = dict.fromkeys(zip(rep[j].tolist(), rep[k].tolist()), d.semiring.one)
     merged = {}

@@ -60,20 +60,10 @@ def test_rand_stats_reference(capsys):
         "0.05",
         "--blocks",
         "4,3,2,2,1,2,1,2,2,3,2",
-        "--dropped",
-        "4",
     )
     assert code == 0
     assert "expected_arcs 25.9635" in out
     assert "expected_arcs_literal_iterates 27.1786" in out
-
-
-def test_rand_stats_dropped_mismatch(capsys):
-    code, _, err = run_cli(
-        capsys, "rand", "stats", "--n", "28", "--p", "0.05", "--blocks", "4,4", "--dropped", "3"
-    )
-    assert code == 1
-    assert "disagrees" in err
 
 
 def test_naive_bypass_gate(tmp_path, capsys):
@@ -379,6 +369,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     # unknown flags are validation errors too
     code, _, _ = run_cli(capsys, "detour", "--nope")
     assert code == 1
+
+
+def test_vertex_ids_beyond_int64_exit_1(tmp_path, capsys):
+    graph, contacts, blocks = tmp_path / "g.edges", tmp_path / "c.csv", tmp_path / "pi.txt"
+    graph.write_text("vertices 1 18446744073709551617\n")
+    contacts.write_text("source,target,time\n1,18446744073709551617,0.5\n")
+    blocks.write_text("1\n")
+    for argv, where in [
+        (("pabstract", "--graph", str(graph), "--partition", str(blocks)), "line 1"),
+        (("dtcn", "detour", "--contacts", str(contacts), "--vertices", "1"), "row 2"),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and f"error: {where}: vertex ids are at most" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -237,6 +237,20 @@ def test_csv_errors_name_the_row():
         parse_contacts("source,target,time\n0,1,1.0\n")
 
 
+def test_vertex_ids_beyond_int64_are_parse_errors():
+    big, top = 2**64 + 1, 2**63 - 1  # ids go through int64 arrays; the largest one still reads
+    for read, text, where in [
+        (parse_digraph, f"vertices 1 {big}\n", "line 1"),
+        (parse_digraph, f"1 2\n2 {big}\n", "line 2"),
+        (parse_digraph_csv, f"from,to,value\n{big},,\n", "row 2"),
+        (parse_digraph_json, _json("[]", f"[1, {big}]"), "vertices entry 1"),
+        (parse_partition, f"1 2\n{big}\n", "line 2"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{where}: vertex ids are at most {top}, got {big}$"):
+            read(text)
+    assert parse_digraph(f"vertices 1 {top}\n1 {top}\n").arcs == {(1, top): 1}
+
+
 def test_csv_errors_name_the_file_line():
     # blank lines are skipped but counted: the bad row is on line 4
     with pytest.raises(ParseError, match="^row 4: malformed vertex id 'x'"):
@@ -349,6 +363,7 @@ def test_compact_ids_drop_blocks_in_the_old_numbering():
 
 
 _CONTACT_HEADER = "source,target,time\n"
+_TOO_BIG = "vertex ids are at most 9223372036854775807, got"
 
 
 @pytest.mark.parametrize(
@@ -369,6 +384,8 @@ _CONTACT_HEADER = "source,target,time\n"
         (_CONTACT_HEADER + "3,3,0.5\n1,2,0.5\n1,2,0.5\n", "row 4: duplicate contact (1, 2, 0.5)"),
         (_CONTACT_HEADER + "1,2,0.1\n3,3,0.5\n", "row 3: contact at 0.5 loops on vertex 3"),
         (_CONTACT_HEADER + "1,2,0.1\n1,3,inf\n", "row 3: contact times must be finite"),
+        (_CONTACT_HEADER + "1,18446744073709551617,0.5\n", f"row 2: {_TOO_BIG} 18446744073709551617"),
+        (_CONTACT_HEADER + "1,2,0\n9223372036854775808,1,0\n", f"row 3: {_TOO_BIG} 9223372036854775808"),
     ],
 )
 def test_malformed_contact_corpus(text, message):

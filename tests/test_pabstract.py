@@ -403,13 +403,18 @@ def test_set_bypass_matches_the_closure_kernel(rng):
             assert set(detour_set(d, drop).arcs) == closure
 
 
-def test_set_bypass_keeps_values_the_fold_keeps():
+def test_set_bypass_keeps_values_the_fold_keeps(rng):
     # boolean arcs may hold any nonzero value; a detour writes one where it links
     d = Digraph(frozenset({1, 2, 3, 4}), {(1, 2): 2, (2, 3): True, (1, 3): 2, (3, 4): True, (4, 1): 1})
-    for drop in ([], [2], [2, 4], [1, 3]):
-        assert _typed(detour_set(d, drop).arcs) == _typed(_fold(d, drop).arcs)
-        expected = delete_vertices(_fold(d, drop), drop)
-        assert _typed(bypass_set(d, drop).arcs) == _typed(expected.arcs)
+    cases = [(d, ([], [2], [2, 4], [1, 3]))]
+    for d, drops in _set_bypass_corpus(rng):
+        arcs = {key: rng.choice((1, True, 2, 3)) for key in d.arcs}
+        cases.append((Digraph(d.vertices, arcs, d.semiring, dict(d.merged)), drops))
+    for d, drops in cases:
+        for drop in drops:
+            assert _typed(detour_set(d, drop).arcs) == _typed(_fold(d, drop).arcs)
+            expected = delete_vertices(_fold(d, drop), drop)
+            assert _typed(bypass_set(d, drop).arcs) == _typed(expected.arcs)
 
 
 def test_set_bypass_errors_and_empty_set():

@@ -134,6 +134,10 @@ def test_boolean_specialization(rng):
         d = random_digraph(rng, n, 0.4)
         v = rng.randint(1, n)
         assert weighted_detour(d, v) == detour(d, v)
+    # a hand-built boolean arc may hold any nonzero value; its product with one is one
+    chain = Digraph(frozenset({1, 2, 3}), {(1, 2): 2, (2, 3): 1})
+    assert weighted_detour(chain, 2) == detour(chain, 2)
+    assert double_detour_entry(Digraph(frozenset({1, 2, 3, 4}), chain.arcs), 2, 4, 1, 3) == 1
 
 
 def test_contract_commutes(rng):
