@@ -59,8 +59,8 @@ def bypass(d: Digraph, v: int) -> Digraph:
 def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
     """The dropped vertices, ascending, and the survivors' arcs once they are bypassed.
 
-    Boolean: a survivor pair that ``abstraction_pairs``, one block per survivor, joins gets
-    one, as ``detour`` writes; other survivor arcs keep their values."""
+    Boolean: the pairs ``abstraction_pairs`` joins, with a block per survivor, get one,
+    as ``detour`` writes; other survivor arcs keep their values."""
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)

@@ -6,7 +6,7 @@ arc-for-arc the plain detour.  Unlike the boolean case, weighted detours need
 not commute: the exact criterion (for cancellative carriers) is a 2-cycle
 between the two vertices plus an asymmetric through-product, and a witness
 entry is returned when it fires.  ``weighted_detour`` is the per-vertex
-reference for ``pabstract.detour_set``, which folds a set on any semiring.
+reference for ``pabstract.detour_set``, which folds a set off the boolean semiring.
 
 A multigraph here is simply a counting-semiring digraph whose arc values are
 multiplicities.
