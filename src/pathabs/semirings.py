@@ -76,8 +76,8 @@ def _parse_nonneg_float(token: str) -> float:
 
 BOOLEAN = SemiringSpec(
     name="boolean",
-    add=lambda a, b: a | b,
-    mul=lambda a, b: 1 if a and b else 0,  # not a & b: a hand-built arc may hold 2
+    add=lambda a, b: 1 if a or b else 0,  # not a | b, a & b: a hand-built arc may hold 2
+    mul=lambda a, b: 1 if a and b else 0,
     one=1,
     carrier="{0, 1} with or/and",
     sample=lambda rng: rng.randint(0, 1),

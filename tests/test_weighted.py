@@ -134,9 +134,11 @@ def test_boolean_specialization(rng):
         d = random_digraph(rng, n, 0.4)
         v = rng.randint(1, n)
         assert weighted_detour(d, v) == detour(d, v)
-    # a hand-built boolean arc may hold any nonzero value; its product with one is one
+    # a hand-built boolean arc may hold any nonzero value; its sum or product with one is one
     chain = Digraph(frozenset({1, 2, 3}), {(1, 2): 2, (2, 3): 1})
-    assert weighted_detour(chain, 2) == detour(chain, 2)
+    triangle = Digraph(frozenset({1, 2, 3}), {(1, 2): 1, (2, 3): 1, (1, 3): 2})
+    for d in (chain, triangle):
+        assert weighted_detour(d, 2) == detour(d, 2)
     assert double_detour_entry(Digraph(frozenset({1, 2, 3, 4}), chain.arcs), 2, 4, 1, 3) == 1
 
 
