@@ -66,12 +66,13 @@ def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
         d.require_vertex(v)
     if d.semiring.name != "boolean":
         return vs, _fold_detours(d, vs)
-    kept = np.array(sorted(d.vertices.difference(vs)), dtype=np.int64)
+    # An object array hands out d's own int objects: the new keys share them.
+    kept = np.array(sorted(d.vertices.difference(vs)), dtype=object)
     src, dst, block_of = _block_map(d, kept, np.arange(len(kept)))
     touch = (block_of[src] < 0) | (block_of[dst] < 0)
     arcs = dict(compress(d.arcs.items(), (~touch).tolist()))
     j, k = np.divmod(abstraction_pairs(src[touch], dst[touch], block_of, len(kept)), len(kept))
-    arcs.update(dict.fromkeys(zip(kept[j].tolist(), kept[k].tolist()), d.semiring.one))
+    arcs.update(dict.fromkeys(zip(kept[j], kept[k]), d.semiring.one))
     return vs, arcs
 
 
@@ -162,11 +163,7 @@ def naive_bypass(d: Digraph, vertices: Iterable[int]) -> Digraph:
     preds = {x for (x, y) in d.arcs if y in vs and x not in vs}
     succs = {y for (x, y) in d.arcs if x in vs and y not in vs}
     arcs = {k: val for k, val in d.arcs.items() if k[0] not in vs and k[1] not in vs}
-    one = d.semiring.one
-    for x in preds:
-        for y in succs:
-            if x != y:
-                arcs[(x, y)] = one
+    arcs.update(dict.fromkeys(((x, y) for x in preds for y in succs if x != y), d.semiring.one))
     survivors = d.vertices - vs
     merged = {v: m for v, m in d.merged.items() if v in survivors}
     return Digraph(survivors, arcs, d.semiring, merged)
@@ -192,11 +189,7 @@ def project_path(word: Sequence[int], dropped: Iterable[int]) -> tuple[int, ...]
 
 def is_path_of(d: Digraph, word: Sequence[int]) -> bool:
     """Word is a simple path of d: distinct vertices, consecutive arcs."""
-    if not word or len(set(word)) != len(word):
-        return False
-    if any(v not in d.vertices for v in word):
-        return False
-    return all(d.has_arc(x, y) for x, y in zip(word, word[1:]))
+    return len(set(word)) == len(word) and is_walk_of(d, word)
 
 
 def is_walk_of(d: Digraph, word: Sequence[int]) -> bool:
@@ -212,12 +205,13 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     the block (0..m-1) of vertex v, or -1 for a dropped vertex.  Block j gets
     an arc to block k != j when a member of j reaches a member of k directly
     or through dropped vertices only.  The subgraph induced on the dropped set
-    is condensed with ``scc_labels``; each component gets a bool row of the
-    blocks it exits to, and a pass in ascending label order ORs in the rows of
-    its successors, which an arc between components never labels higher.  An
+    is condensed with ``scc_labels``; each component gets the set of blocks
+    it exits to, and a pass in ascending label order unions in the sets of its
+    successors, which an arc between components never labels higher.  An
     entry arc from block j into a component then yields j -> k for every k in
-    the component's row.  Time and memory are linear in the arc count, plus
-    one byte per component and block for the rows.
+    the component's set.  Time and memory are linear in the arc count plus the
+    set sizes, each at most the number of blocks its component reaches, where
+    dense rows of all m blocks would grow as (components)·m.
     """
     bs, bd = block_of[src], block_of[dst]
     direct = (bs >= 0) & (bd >= 0) & (bs != bd)
@@ -225,23 +219,25 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     exits = (bs < 0) & (bd >= 0)
     entries = (bs >= 0) & (bd < 0)
     if exits.any() and entries.any():
-        dropped = np.flatnonzero(block_of < 0)
-        pos = np.empty(len(block_of), dtype=np.int64)
-        pos[dropped] = np.arange(len(dropped))
+        pos = np.cumsum(block_of < 0) - 1  # a dropped vertex's index among the dropped
         inner = (bs < 0) & (bd < 0)
-        label = scc_labels(len(dropped), pos[src[inner]], pos[dst[inner]])
-        reach = np.zeros((int(label.max()) + 1, m), dtype=bool)
-        reach[label[pos[src[exits]]], bd[exits]] = True
+        label = scc_labels(int(pos[-1]) + 1, pos[src[inner]], pos[dst[inner]])
+        reach = [set() for _ in range(int(label.max()) + 1)]
+        for c, k in zip(label[pos[src[exits]]].tolist(), bd[exits].tolist()):
+            reach[c].add(k)
         cs, cd = label[pos[src[inner]]], label[pos[dst[inner]]]
         between = cs != cd
         cs, cd = cs[between], cd[between]
         order = np.argsort(cs, kind="stable")
         for c, s in zip(cs[order].tolist(), cd[order].tolist()):
             reach[c] |= reach[s]
-        j = bs[entries]
-        e, k = np.divmod(np.flatnonzero(reach[label[pos[dst[entries]]]]), m)  # 2-D nonzero is slow
-        other = k != j[e]
-        ids.append(j[e][other] * m + k[other])
+        into = label[pos[dst[entries]]]
+        size = np.fromiter(map(len, reach), dtype=np.int64, count=len(reach))
+        count = size[into]  # entry e copies its component's set from the sets laid end to end
+        flat = np.fromiter(chain.from_iterable(reach), dtype=np.int64, count=int(size.sum()))
+        k = flat[np.repeat(np.cumsum(size)[into] - np.cumsum(count), count) + np.arange(count.sum())]
+        j = np.repeat(bs[entries], count)
+        ids.append(j[k != j] * m + k[k != j])
     # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's
     # hash-based np.unique is about fifteen times slower on a few thousand ids.
     ids = np.sort(np.concatenate(ids))
@@ -251,7 +247,10 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
 def _block_map(d: Digraph, members: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     """Arc tails and heads as indices into d's ascending vertex ids, which may have gaps,
     and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest."""
-    ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
+    try:
+        ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
+    except OverflowError:
+        raise DigraphError(f"vertex ids must fit in int64 here, got {max(d.vertices, key=abs)}") from None
     ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))
     ends = np.searchsorted(ids, ends)
     block_of = np.full(d.n, -1, dtype=np.int64)
@@ -271,7 +270,7 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     input takes one ``abstraction_pairs`` call on the arcs, renumbered
     0..n-1, and every arc carries the semiring's one; only a hand-built arc
     holding another nonzero value, such as 2, reads 1 here where the
-    two-step route ORs it in.
+    two-step route may keep it.
     """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
