@@ -438,8 +438,8 @@ def test_set_bypass_errors_and_empty_set():
 
 
 def test_set_bypass_memory_follows_the_arcs():
-    # Dropped vertex 10000 + i links survivor 2i - 1 to 2i.  A dense row of all
-    # 10,000 survivors per dropped vertex took 96 MB here; the map fold took 6 MB.
+    # Dropped vertex 10000 + i links survivor 2i - 1 to 2i.  Dense reach rows of all
+    # 10,000 survivors per dropped vertex would take about 100 MB, a per-vertex map fold 6 MB.
     n = 15000
     arcs = [a for i in range(1, 5001) for a in ((2 * i - 1, 10000 + i), (10000 + i, 2 * i))]
     d = Digraph.build(n, arcs)
@@ -457,10 +457,10 @@ def test_boolean_cores_refuse_ids_beyond_int64():
     # hand-built ids go through int64 arrays: too large is a DigraphError, not an OverflowError
     for big in (2**63, -(2**63) - 1):
         d = Digraph(frozenset({1, 2, 3, big}), {(1, 2): 1, (2, 3): 1})
-        for op in (lambda: detour_set(d, [2]), lambda: bypass_set(d, [2]),
-                   lambda: path_abstract(d, PartialPartition(3, [{1}, {3}]))):
+        blocks = PartialPartition(3, [{1}, {3}])
+        for op, arg in ((detour_set, [2]), (bypass_set, [2]), (path_abstract, blocks)):
             with pytest.raises(DigraphError, match=f"^vertex ids must fit in int64 here, got {big}$"):
-                op()
+                op(d, arg)
     top = Digraph(frozenset({1, 2, 2**63 - 1}), {(1, 2): 1, (2, 2**63 - 1): 1})
     assert bypass_set(top, [2]).arcs == {(1, 2**63 - 1): 1}
 
