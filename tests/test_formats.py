@@ -398,3 +398,96 @@ def test_malformed_contact_corpus(text, message):
 def test_contact_tokens_follow_python_number_rules():
     d = parse_contacts(_CONTACT_HEADER + " 1 , 2 , 0.5 \n1_0,2,1_0.5\n")
     assert d.triples() == [(1, 2, 0.5), (10, 2, 10.5)] and d.n == 10
+
+
+def _arcs_json(arcs, vertices=(1, 2, 3), semiring="boolean") -> str:
+    keys = ("from", "to", "value")
+    rows = ", ".join("{" + ", ".join(f'"{k}": {t}' for k, t in zip(keys, arc)) + "}" for arc in arcs)
+    listed = ", ".join(map(str, vertices))
+    return f'{{"semiring": "{semiring}", "vertices": [{listed}], "arcs": [{rows}]}}'
+
+
+_BIG = 9223372036854775808
+_CSV_HEADER = "from,to,value\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, name, text, message",
+    [
+        # edge lists: one fault each
+        ("edgelist", "boolean", "1 x\n", "line 1: malformed vertex id 'x'"),
+        ("edgelist", "boolean", "x 0\n", "line 1: malformed vertex id 'x'"),
+        ("edgelist", "boolean", "0 x\n", "line 1: vertex ids are positive, got 0"),
+        ("edgelist", "boolean", "-3 1\n", "line 1: vertex ids are positive, got -3"),
+        ("edgelist", "boolean", f"1 {_BIG}\n", f"line 1: {_TOO_BIG} {_BIG}"),
+        ("edgelist", "boolean", f"1 {2 * _BIG}\n", f"line 1: {_TOO_BIG} {2 * _BIG}"),
+        ("edgelist", "boolean", f"-{2 * _BIG} 1\n", f"line 1: vertex ids are positive, got -{2 * _BIG}"),
+        ("edgelist", "boolean", "1 2\n2 2\n", "line 2: self-loop at 2 (digraphs are loopless)"),
+        ("edgelist", "boolean", "n 2\n1 3\n", "line 2: arc (1, 3) outside the declared vertex set"),
+        ("edgelist", "boolean", "vertices 1 2 5\n5 1\n1 3\n", "line 3: arc (1, 3) outside the declared vertex set"),
+        ("edgelist", "boolean", "n 2\n3 3\n", "line 2: self-loop at 3 (digraphs are loopless)"),
+        ("edgelist", "counting", "n 2\n1 3 0\n", "line 2: arc (1, 3) outside the declared vertex set"),
+        ("edgelist", "counting", "1 1 x\n", "line 1: self-loop at 1 (digraphs are loopless)"),
+        ("edgelist", "boolean", "1 2 2\n", "line 1: bad value '2': boolean weights are 0 or 1, got 2"),
+        ("edgelist", "boolean", "1 2 0.5\n", "line 1: bad value '0.5': boolean weights are 0 or 1, got 0.5"),
+        ("edgelist", "counting", "1 2 x\n", "line 1: bad value 'x': invalid literal for int() with base 10: 'x'"),
+        ("edgelist", "counting", "1 2 -3\n", "line 1: bad value '-3': counting weights are nonnegative, got -3"),
+        ("edgelist", "real", "1 2 inf\n", "line 1: bad value 'inf': real weights are finite, got inf"),
+        ("edgelist", "minplus-nonneg", "1 2 -1\n", "line 1: bad value '-1': min-plus weights lie in [0, inf), got -1"),
+        ("edgelist", "boolean", "1 2 1 4\n", "line 1: expected 'u v' or 'u v weight'"),
+        ("edgelist", "boolean", "1\n", "line 1: expected 'u v' or 'u v weight'"),
+        ("edgelist", "boolean", "n x\n", "line 1: malformed vertex id 'x'"),
+        ("edgelist", "boolean", "n -1\n", "line 1: vertex ids are positive, got -1"),
+        ("edgelist", "boolean", "vertices 1 x\n", "line 1: malformed vertex id 'x'"),
+        ("edgelist", "boolean", f"vertices 1 {_BIG}\n", f"line 1: {_TOO_BIG} {_BIG}"),
+        # comments and blank lines come before the bad line
+        ("edgelist", "boolean", "# c\n\n1 2\n  # x\n\n2 x  # bad\n", "line 6: malformed vertex id 'x'"),
+        # two faults on different lines: the earlier wins
+        ("edgelist", "boolean", "1 2 3 4\n1 x\n", "line 1: expected 'u v' or 'u v weight'"),
+        ("edgelist", "boolean", "1 x\n1 2 3 4\n", "line 1: malformed vertex id 'x'"),
+        ("edgelist", "boolean", "3 3\n0 1\n", "line 1: self-loop at 3 (digraphs are loopless)"),
+        ("edgelist", "counting", "1 2 x\n1 1\n", "line 1: bad value 'x': invalid literal for int() with base 10: 'x'"),
+        ("edgelist", "counting", "1 2\n2 1 -1\n3 y 1\n", "line 2: bad value '-1': counting weights are nonnegative, got -1"),
+        ("edgelist", "boolean", "n 3\n1 4\n2 2\n", "line 2: arc (1, 4) outside the declared vertex set"),
+        ("edgelist", "boolean", "1 2\n1 2\n3 3\n", "line 3: self-loop at 3 (digraphs are loopless)"),
+        # CSV
+        ("csv", "boolean", "a,b,c\n1,2,1\n", "CSV needs the header from,to,value"),
+        ("csv", "boolean", _CSV_HEADER + "1,x,1\n", "row 2: malformed vertex id 'x'"),
+        ("csv", "boolean", _CSV_HEADER + "0,1,1\n", "row 2: vertex ids are positive, got 0"),
+        ("csv", "boolean", _CSV_HEADER + f"1,{_BIG},1\n", f"row 2: {_TOO_BIG} {_BIG}"),
+        ("csv", "boolean", _CSV_HEADER + "1,2,1\n2,2,1\n", "row 3: self-loop at 2 (digraphs are loopless)"),
+        ("csv", "boolean", _CSV_HEADER + "1,,\n2,,\n1,3,1\n", "row 4: arc (1, 3) outside the declared vertex set"),
+        ("csv", "counting", _CSV_HEADER + "1,2,x\n", "row 2: bad value 'x': invalid literal for int() with base 10: 'x'"),
+        ("csv", "boolean", _CSV_HEADER + "1,2,2\n", "row 2: bad value '2': boolean weights are 0 or 1, got 2"),
+        ("csv", "boolean", _CSV_HEADER + "1,2\n", "row 2: expected three columns"),
+        ("csv", "boolean", _CSV_HEADER + "x,,\n", "row 2: malformed vertex id 'x'"),
+        ("csv", "boolean", _CSV_HEADER + "\n\n1,x,1\n", "row 4: malformed vertex id 'x'"),
+        ("csv", "boolean", _CSV_HEADER + "1,x,1\n2,y,1\n", "row 2: malformed vertex id 'x'"),
+        ("csv", "counting", _CSV_HEADER + "1,2,-1\n3,3,1\n", "row 2: bad value '-1': counting weights are nonnegative, got -1"),
+        # JSON
+        ("json", None, _arcs_json([(1, '"x"', 1)]), "arc 0: malformed vertex id '\"x\"'"),
+        ("json", None, _arcs_json([(1, 2.0, 1)]), "arc 0: malformed vertex id '2.0'"),
+        ("json", None, _arcs_json([(0, 1, 1)]), "arc 0: vertex ids are positive, got 0"),
+        ("json", None, _arcs_json([(1, _BIG, 1)]), f"arc 0: {_TOO_BIG} {_BIG}"),
+        ("json", None, _arcs_json([(2, 2, 1)]), "arc 0: self-loop at 2 (digraphs are loopless)"),
+        ("json", None, _arcs_json([(1, 4, 1)]), "arc 0: arc (1, 4) outside the declared vertex set"),
+        ("json", None, _arcs_json([(1, 2, 2)]), "arc 0: bad value '2': boolean weights are 0 or 1, got 2"),
+        ("json", None, _arcs_json([(1, 2, '"1"')]), "arc 0: bad value '\"1\"': boolean weights are 0 or 1, got \"1\""),
+        ("json", None, _arcs_json([(1, 2, -1)], semiring="counting"), "arc 0: bad value '-1': counting weights are nonnegative, got -1"),
+        ("json", None, _arcs_json([(1, 2, 1), (1, 2)]), "malformed digraph JSON: KeyError('value')"),
+        ("json", None, _arcs_json([(1, 2, 1)], vertices=(1, '"x"')), "vertices entry 1: malformed vertex id '\"x\"'"),
+        ("json", None, _arcs_json([(1, 2, 1)], vertices=(1, 0)), "vertices entry 1: vertex ids are positive, got 0"),
+        ("json", None, _arcs_json([(1, 2, 2), (3, 3, 1)]), "arc 0: bad value '2': boolean weights are 0 or 1, got 2"),
+        ("json", None, _arcs_json([(1, 2, 1), (2, 1, 7), (3, 4, 1)], semiring="counting"), "arc 2: arc (3, 4) outside the declared vertex set"),
+    ],
+)
+def test_malformed_digraph_corpus(fmt, name, text, message):
+    # the earliest bad line, row or arc wins; within one, ids, then loops, then the set, then the value
+    read = {
+        "edgelist": lambda: parse_digraph(text, REGISTRY[name]),
+        "csv": lambda: parse_digraph_csv(text, REGISTRY[name]),
+        "json": lambda: parse_digraph_json(text),
+    }[fmt]
+    with pytest.raises(ParseError) as info:
+        read()
+    assert str(info.value) == message
