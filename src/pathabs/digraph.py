@@ -92,6 +92,13 @@ class Digraph:
 
     # -- construction -----------------------------------------------------
 
+    @classmethod
+    def _of(cls, vertices, arcs, semiring, merged) -> "Digraph":
+        """A digraph from arcs valid by construction: ``__post_init__`` is skipped."""
+        d = cls.__new__(cls)
+        vars(d).update(vertices=vertices, arcs=arcs, semiring=semiring, merged=merged)
+        return d
+
     @staticmethod
     def build(
         n: int,

@@ -25,11 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
-from .digraph import Digraph, DigraphError, _normalized
+from .digraph import Digraph, _normalized
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, Contact, TemporalError
@@ -39,11 +39,10 @@ class ParseError(ValueError):
     pass
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _content_lines(text: str) -> list[tuple]:
+    """Each line with tokens as ``(line number, token, ...)``; '#' starts a comment."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()] if "#" in text else text.splitlines()
+    return [(lineno, *tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
 
 
 def _vertex(token: str, unit: str, index, allow_zero: bool = False) -> int:
@@ -63,57 +62,70 @@ def _assemble(
 ) -> Digraph:
     """The one route from arc rows to a ``Digraph``.
 
-    ``rows`` yields ``(index, u, v, value)`` tokens, where a ``value`` of
-    None means the semiring's one; errors name the row as "<unit> <index>".
+    ``rows`` holds ``(index, u, v[, value])`` tokens, where a missing or None
+    value means the semiring's one; errors name the row as "<unit> <index>".
     With no ``declared`` vertex set the vertices are 1..max over ``top`` and
-    every endpoint named.
+    every endpoint named.  Columns are checked whole, with one ``int`` per
+    vertex token and one ``parse_value`` per distinct value token; on a
+    failure the rows are read again one by one to name the first bad one.
     """
-    parse, add = semiring.parse_value, semiring.add
-    acc: dict[tuple[int, int], object] = {}
-    for index, a, b, token in rows:
+    if len(set(map(len, rows))) > 1:
+        rows = [(*row, None)[:4] for row in rows]
+    _, us, vs, *tokens = zip(*rows) if rows else ((),) * 3
+    tokens = tokens[0] if tokens else (None,) * len(us)
+    try:
+        heads, tails = list(map(int, us)), list(map(int, vs))
+        u, v = np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
+        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in set(tokens)}
+    except (ValueError, OverflowError):
+        _raise_arc_error(rows, semiring, unit, declared)
+    ends = np.concatenate([u, v])
+    outside = declared is not None and not np.isin(ends, np.fromiter(declared, np.int64)).all()
+    if ends.min(initial=1) < 1 or (u == v).any() or outside:
+        _raise_arc_error(rows, semiring, unit, declared)
+    if declared is None:
+        declared = frozenset(range(1, max(top, ends.max(initial=0)) + 1))
+    keys, values = list(zip(heads, tails)), list(map(value_of.__getitem__, tokens))
+    arcs = dict(zip(keys, values))
+    if len(arcs) < len(keys):  # semiring-add a repeated arc's values in file order
+        first = np.isin(np.arange(len(keys)), np.unique(np.stack([u, v]), axis=1, return_index=True)[1])
+        arcs = dict(compress(zip(keys, values), first.tolist()))
+        for i in np.flatnonzero(~first).tolist():
+            arcs[keys[i]] = semiring.add(arcs[keys[i]], values[i])
+    if len(arcs) < len(keys) or semiring.is_zero and any(map(semiring.is_zero, value_of.values())):
+        arcs = _normalized(arcs, semiring)
+    # valid by construction: the masks above refused loops and arcs leaving the vertex set
+    return Digraph._of(declared, arcs, semiring, merged or {})
+
+
+def _raise_arc_error(rows, semiring: SemiringSpec, unit: str, declared) -> None:
+    """Raise the first bad row's error: its ids, then a loop, then the vertex set, then the value."""
+    for index, a, b, token in ((*row, None)[:4] for row in rows):
         u, v = _vertex(a, unit, index), _vertex(b, unit, index)
         if u == v:
             raise ParseError(f"{unit} {index}: self-loop at {u} (digraphs are loopless)")
-        if declared is None:
-            top = max(top, u, v)
-        elif u not in declared or v not in declared:
+        if declared is not None and (u not in declared or v not in declared):
             raise ParseError(f"{unit} {index}: arc ({u}, {v}) outside the declared vertex set")
         try:
-            value = semiring.one if token is None else parse(token)
+            token is None or semiring.parse_value(token)
         except ValueError as exc:
             raise ParseError(f"{unit} {index}: bad value {token!r}: {exc}") from None
-        key = (u, v)
-        acc[key] = add(acc[key], value) if key in acc else value
-    if declared is None:
-        declared = frozenset(range(1, top + 1))
-    try:
-        return Digraph(declared, _normalized(acc, semiring), semiring, merged or {})
-    except DigraphError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
-    lines = _content_lines(text)
-    declared = None
-    first = next(lines, None)
-    if first is not None:
-        lineno, line = first
-        tokens = line.split()
-        if tokens[0] == "n" and len(tokens) == 2:
-            declared = frozenset(range(1, _vertex(tokens[1], "line", lineno, allow_zero=True) + 1))
-        elif tokens[0] == "vertices":
-            declared = frozenset(_vertex(t, "line", lineno) for t in tokens[1:])
-        else:
-            lines = chain([first], lines)
-    return _assemble(_edge_rows(lines), semiring, "line", declared)
-
-
-def _edge_rows(lines):
-    for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'u v' or 'u v weight'")
-        yield lineno, tokens[0], tokens[1], tokens[2] if len(tokens) == 3 else None
+    rows, declared = _content_lines(text), None
+    if rows:
+        lineno, key, *tokens = rows[0]
+        if key == "n" and len(tokens) == 1:
+            declared = frozenset(range(1, _vertex(tokens[0], "line", lineno, allow_zero=True) + 1))
+        elif key == "vertices":
+            declared = frozenset(_vertex(t, "line", lineno) for t in tokens)
+        rows = rows[declared is not None :]
+    if not set(map(len, rows)) <= {3, 4}:  # "u v" and "u v weight" lines
+        bad = next(row[0] for row in rows if len(row) not in (3, 4))
+        _assemble([row for row in rows if row[0] < bad], semiring, "line", declared)  # earlier lines first
+        raise ParseError(f"line {bad}: expected 'u v' or 'u v weight'")
+    return _assemble(rows, semiring, "line", declared)
 
 
 def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
@@ -193,11 +205,12 @@ def serialize_digraph(d: Digraph, fmt: str = "edgelist", compact_ids: bool = Fal
 def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
-    lines = [f"n {len(order)}" if dense else "vertices " + " ".join(map(str, order))]
-    value = None if d.semiring.name == "boolean" else d.semiring.format_value
-    for x, y in sorted(d.arcs):
-        lines.append(f"{x} {y}" if value is None else f"{x} {y} {value(d.arcs[(x, y)])}")
-    return "\n".join(lines) + "\n"
+    head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
+    keys = sorted(d.arcs)
+    if d.semiring.name == "boolean":
+        return head + "%s %s\n" * len(keys) % tuple(chain.from_iterable(keys))
+    value = d.semiring.format_value
+    return head + "".join([f"{x} {y} {value(d.arcs[(x, y)])}\n" for x, y in keys])
 
 
 def _to_json(d: Digraph) -> str:
@@ -231,8 +244,7 @@ def _to_csv(d: Digraph) -> str:
 def parse_labels(text: str) -> Coloring:
     """Lines "vertex color"; every vertex 1..max must appear exactly once."""
     seen: dict[int, int] = {}
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
+    for lineno, *tokens in _content_lines(text):
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'vertex color'")
         v = _vertex(tokens[0], "line", lineno)
@@ -255,7 +267,7 @@ def parse_labels(text: str) -> Coloring:
 def parse_partition(text: str, n: int | None = None) -> PartialPartition:
     """One block per line, whitespace-separated vertex ids."""
     lines = _content_lines(text)
-    blocks = [{_vertex(t, "line", lineno) for t in line.split()} for lineno, line in lines]
+    blocks = [{_vertex(t, "line", lineno) for t in tokens} for lineno, *tokens in lines]
     if n is None:
         n = max((max(b) for b in blocks), default=0)
     try:

@@ -491,3 +491,71 @@ def test_malformed_digraph_corpus(fmt, name, text, message):
     with pytest.raises(ParseError) as info:
         read()
     assert str(info.value) == message
+
+
+_VALUE_TOKENS = {
+    "boolean": ["0", "1"],
+    "counting": ["0", "1", "2", "3"],
+    "real": ["0", "-1.5", "1", "2", "0.25"],
+    "minplus-nonneg": ["0", "1.5", "3"],
+}
+
+
+def _reference_edgelist(text, semiring):
+    """A line-at-a-time edge-list reader for well-formed text."""
+    acc, top, declared = {}, 0, None
+    for raw in text.splitlines():
+        tokens = raw.split("#")[0].split()
+        if tokens[:1] == ["n"] and not acc and declared is None:
+            declared = frozenset(range(1, int(tokens[1]) + 1))
+        elif tokens:
+            key = (int(tokens[0]), int(tokens[1]))
+            value = semiring.parse_value(tokens[2]) if len(tokens) == 3 else semiring.one
+            acc[key] = semiring.add(acc[key], value) if key in acc else value
+            top = max(top, *key)
+    arcs = {key: value for key, value in acc.items() if semiring.normalize(value) is not None}
+    return Digraph(declared or frozenset(range(1, top + 1)), arcs, semiring)
+
+
+def _checked(d):
+    """The digraph rebuilt through the validating constructor, which raises on a bad arc."""
+    return Digraph(d.vertices, dict(d.arcs), d.semiring, dict(d.merged))
+
+
+def test_readers_and_path_abstract_build_what_the_constructor_accepts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from pathabs import PartialPartition, path_abstract
+    from pathabs.checks import _or_refusal
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def holds(data):
+        s = REGISTRY[data.draw(st.sampled_from(sorted(REGISTRY)))]
+        top = data.draw(st.integers(2, 9))
+        vertex = st.integers(1, top)
+        arc = st.tuples(vertex, vertex, st.sampled_from([None, *_VALUE_TOKENS[s.name]]))
+        arcs = data.draw(st.lists(arc.filter(lambda a: a[0] != a[1]), max_size=20))
+        filler = st.sampled_from(["", "   ", "# a comment", "  # indented"])
+        lines = [f"n {top}"] if data.draw(st.booleans()) else []
+        for u, v, token in arcs:
+            lines += data.draw(st.lists(filler, max_size=2))
+            lines.append(f"{u} {v}" + ("" if token is None else f" {token}") + data.draw(st.sampled_from(["", " # c"])))
+        text = "\n".join(lines) + "\n"
+        d = parse_digraph(text, s)
+        assert d == _reference_edgelist(text, s) == _checked(d)
+        if d.n >= 4 and data.draw(st.booleans()):
+            d = contract_blocks(d, [data.draw(st.sets(st.sampled_from(sorted(d.vertices)), min_size=2, max_size=3))])
+        for fmt, read in (
+            ("edgelist", lambda t: parse_digraph(t, s)),
+            ("csv", lambda t: parse_digraph_csv(t, s)),
+            ("json", parse_digraph_json),
+        ):
+            back = read(serialize_digraph(d, fmt))
+            assert back == _checked(back) == (d if fmt == "json" else Digraph(d.vertices, d.arcs, s))
+        labels = data.draw(st.lists(st.integers(-2, 2), min_size=d.n, max_size=d.n))
+        blocks = [{v for v, b in zip(sorted(d.vertices), labels) if b == j} for j in range(3)]
+        got = _or_refusal(lambda: path_abstract(d, PartialPartition(top, [b for b in blocks if b])))
+        assert isinstance(got, str) or got == _checked(got)
+
+    holds()
