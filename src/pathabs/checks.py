@@ -304,9 +304,18 @@ def check_path_abstract_routes(seed: int):
                 lambda: bypass_set(contract_blocks(d, blocks), outside),
             ))
             where = f"{s.name} blocks {blocks} of {d.arcs} (merged {d.merged})"
-            cancelled = s is REAL and isinstance(first_bypass, str) and isinstance(got, Digraph)
+            cancelled = isinstance(first_bypass, str) and isinstance(got, Digraph)
+            cancelled = cancelled and (s is REAL or _one_block_around(d, blocks, first_bypass))
             _require(got == first_contract, f"path_abstract differs from contract first on {where}")
             _require(got == first_bypass or cancelled, f"path_abstract differs from bypass first on {where}")
+
+
+def _one_block_around(d: Digraph, blocks, refusal: str) -> bool:
+    """Whether the cycle a refusal names meets one block only, so contracting first accepts it."""
+    cycle = {int(v) for v in refusal[refusal.index("{") + 1 : refusal.index("}")].split(", ")}
+    c, bare = min(cycle), Digraph(d.vertices, dict.fromkeys(d.arcs, 1))
+    arcs = path_abstract(bare, PartialPartition(max(d.vertices), [*blocks, cycle])).arcs
+    return len({x for x, y in arcs if y == c} | {y for x, y in arcs if x == c}) == 1
 
 
 def _or_refusal(route):

@@ -107,25 +107,39 @@ def _fold_detours(d: Digraph, vs: list[int]) -> dict:
 
 
 def _require_order_free(d: Digraph, vs: list[int]) -> None:
-    """Name in a ``DigraphError`` a strong component of two or more dropped
-    vertices that a survivor reaches, and that reaches one, through dropped
-    vertices.  Without one every such route is a simple path, and any fold
-    order sums their products.  Sufficient, not exact: some order-free
-    inputs are refused too."""
-    # All survivors as one vertex k: a dropped vertex on a survivor route shares k's component.
-    k, pos = len(vs), {v: i for i, v in enumerate(vs)}
-    ends = [(pos.get(x, k), pos.get(y, k)) for x, y in d.arcs if x in pos or y in pos]
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    label = scc_labels(k, *ends[(ends < k).all(axis=1)].T)
-    route = scc_labels(k + 1, *ends.T)
-    cyclic = (route[:k] == route[k]) & (np.bincount(label)[label] > 1)
-    if cyclic.any():
-        c = label[np.argmax(cyclic)]  # the component of the smallest such vertex
-        cycle = ", ".join(str(v) for v, l in zip(vs, label) if l == c)
-        raise DigraphError(
-            f"dropped vertices {{{cycle}}} form a cycle on a route between survivors; "
-            f"on the {d.semiring.name} semiring the set detour may depend on the fold order"
-        )
+    """Name in a ``DigraphError`` a strong component of two or more dropped vertices
+    that a survivor x reaches, and that reaches a survivor y != x, through dropped
+    vertices.  Without one, routes between distinct survivors are simple paths and
+    any fold order sums their products.  Sufficient, not exact."""
+    pos = {v: i for i, v in enumerate(vs)}
+    inner = [(pos[x], pos[y]) for x, y in d.arcs if x in pos and y in pos]
+    label = scc_labels(len(vs), *np.array(inner, dtype=np.int64).reshape(-1, 2).T).tolist()
+    ends = {}  # (component, 0): the one survivor that reaches it, (component, 1): that it reaches
+    for x, y in d.arcs:
+        if (x in pos) != (y in pos):
+            key, v = ((label[pos[x]], 1), y) if x in pos else ((label[pos[y]], 0), x)
+            ends[key] = _join(ends.get(key), v)
+    links = sorted({(label[a], label[b]) for a, b in inner})
+    for c, t in links:  # ascending: an arc between components never climbs in label
+        ends[c, 1] = _join(ends.get((c, 1)), ends.get((t, 1)))
+    for c, t in reversed(links):
+        ends[t, 0] = _join(ends.get((t, 0)), ends.get((c, 0)))
+    size = np.bincount(label)
+    for c in label:  # the component of the smallest such vertex
+        x, y = ends.get((c, 0)), ends.get((c, 1))
+        if size[c] > 1 and None not in (x, y) and (x is _MANY or x != y):
+            cycle = ", ".join(str(v) for v, l in zip(vs, label) if l == c)
+            raise DigraphError(
+                f"dropped vertices {{{cycle}}} form a cycle on a route between survivors; "
+                f"on the {d.semiring.name} semiring the set detour may depend on the fold order"
+            )
+
+
+_MANY = object()  # two or more survivors
+
+
+def _join(a, b):  # the one survivor among a and b (None for none), or _MANY
+    return b if a is None or a == b else a if b is None else _MANY
 
 
 def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
@@ -281,11 +295,9 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     src, dst, block_of = _block_map(d, members, np.repeat(np.arange(m), [len(b) for b in p.blocks]))
     reps = [min(block) for block in p.blocks]
     j, k = np.divmod(abstraction_pairs(src, dst, block_of, m), m)
-    rep = np.array(reps, dtype=np.int64)
-    arcs = dict.fromkeys(zip(rep[j].tolist(), rep[k].tolist()), d.semiring.one)
-    merged = {}
-    for r, block in zip(reps, p.blocks):
-        expanded = frozenset().union(*map(d.members_of, block))
-        if expanded != frozenset((r,)):  # singleton blocks are identity merges
-            merged[r] = expanded
-    return Digraph(frozenset(reps), arcs, d.semiring, merged)
+    rep = np.array(reps, dtype=object)  # the keys share the blocks' own int objects
+    arcs = dict.fromkeys(zip(rep[j], rep[k]), d.semiring.one)
+    blocks = p.blocks if not d.merged else [frozenset().union(*map(d.members_of, b)) for b in p.blocks]
+    merged = {r: ms for r, ms in zip(reps, blocks) if ms != {r}}  # singletons are identity merges
+    # valid by construction: pairs join distinct blocks, named by their representatives
+    return Digraph._of(frozenset(reps), arcs, d.semiring, merged)
