@@ -80,7 +80,7 @@ def _assemble(
     except (ValueError, OverflowError):
         _raise_arc_error(rows, semiring, unit, declared)
     ends = np.concatenate([u, v])
-    outside = declared is not None and not np.isin(ends, np.fromiter(declared, np.int64)).all()
+    outside = declared is not None and not (declared.issuperset(heads) and declared.issuperset(tails))
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
         _raise_arc_error(rows, semiring, unit, declared)
     if declared is None:
