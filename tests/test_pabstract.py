@@ -519,6 +519,7 @@ def test_order_guard_refuses_exactly_cycles_between_distinct_survivors(rng):
             assert isinstance(got, Digraph)
     assert refused > 50
 
+
 def _partitions(rng, d):
     """Partial partitions of d's vertices: random blocks of 1 to 3, none, one
     block, singletons on the merged vertices, and random blocks on a ground set
