@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -88,10 +88,9 @@ def _assemble(
     keys, values = list(zip(heads, tails)), list(map(value_of.__getitem__, tokens))
     arcs = dict(zip(keys, values))
     if len(arcs) < len(keys):  # semiring-add a repeated arc's values in file order
-        first = np.isin(np.arange(len(keys)), np.unique(np.stack([u, v]), axis=1, return_index=True)[1])
-        arcs = dict(compress(zip(keys, values), first.tolist()))
-        for i in np.flatnonzero(~first).tolist():
-            arcs[keys[i]] = semiring.add(arcs[keys[i]], values[i])
+        arcs = {}
+        for key, value in zip(keys, values):
+            arcs[key] = semiring.add(arcs[key], value) if key in arcs else value
     if len(arcs) < len(keys) or semiring.is_zero and any(map(semiring.is_zero, value_of.values())):
         arcs = _normalized(arcs, semiring)
     # valid by construction: the masks above refused loops and arcs leaving the vertex set
@@ -123,7 +122,7 @@ def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
         rows = rows[declared is not None :]
     if not set(map(len, rows)) <= {3, 4}:  # "u v" and "u v weight" lines
         bad = next(row[0] for row in rows if len(row) not in (3, 4))
-        _assemble([row for row in rows if row[0] < bad], semiring, "line", declared)  # earlier lines first
+        _raise_arc_error([row for row in rows if row[0] < bad], semiring, "line", declared)  # earlier first
         raise ParseError(f"line {bad}: expected 'u v' or 'u v weight'")
     return _assemble(rows, semiring, "line", declared)
 

@@ -493,6 +493,18 @@ def test_malformed_digraph_corpus(fmt, name, text, message):
     assert str(info.value) == message
 
 
+def test_a_wrong_token_count_builds_nothing_from_the_earlier_lines(monkeypatch):
+    # the earlier lines imply the vertex set 1..2**63 - 1: they are checked, never assembled
+    import pathabs.formats as formats
+
+    monkeypatch.setattr(formats, "_assemble", lambda *args, **kwargs: pytest.fail("assembled"))
+    top = 2**63 - 1
+    with pytest.raises(ParseError, match="^line 2: expected 'u v' or 'u v weight'$"):
+        parse_digraph(f"1 {top}\n1 2 3 4\n")
+    with pytest.raises(ParseError, match=r"^line 2: self-loop at 3 \(digraphs are loopless\)$"):
+        parse_digraph(f"1 {top}\n3 3\n1 2 3 4\n")
+
+
 _VALUE_TOKENS = {
     "boolean": ["0", "1"],
     "counting": ["0", "1", "2", "3"],
