@@ -386,6 +386,22 @@ _TOO_BIG = "vertex ids are at most 9223372036854775807, got"
         (_CONTACT_HEADER + "1,2,0.1\n1,3,inf\n", "row 3: contact times must be finite"),
         (_CONTACT_HEADER + "1,18446744073709551617,0.5\n", f"row 2: {_TOO_BIG} 18446744073709551617"),
         (_CONTACT_HEADER + "1,2,0\n9223372036854775808,1,0\n", f"row 3: {_TOO_BIG} 9223372036854775808"),
+        # a column count beats any value, even on an earlier row
+        (_CONTACT_HEADER + "1,x,0.5\n1,2\n", "row 3: expected three columns"),
+        (_CONTACT_HEADER + "1,2,0.5\n1,2\n3,y,0.5\n", "row 3: expected three columns"),
+        (_CONTACT_HEADER + " \n1,2,0.5\n", "row 2: expected three columns"),
+        # CRLF line endings
+        ("source,target,time\r\n1,2,0.5\r\n1,x,0.5\r\n", "row 3: malformed vertex id 'x'"),
+        ("source,target,time\r\n1,2,0.5\r\n\r\n1,2\r\n", "row 4: expected three columns"),
+        # quoted cells; a quoted line break moves the rows after it down a line
+        (_CONTACT_HEADER + '"1","x","0.5"\n', "row 2: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + '1,"2\n",0.5\n1,x,0.5\n', "row 4: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + '"1,2",3,0.5\n', "row 2: malformed vertex id '1,2'"),
+        ('"source","target","time"\n1,1,0.5\n', "row 2: contact at 0.5 loops on vertex 1"),
+        # blank rows before a bad row
+        (_CONTACT_HEADER + "1,2,0.5\n\n\n1,2\n", "row 5: expected three columns"),
+        ("\n\n" + _CONTACT_HEADER + "\n1,x,0\n", "row 5: malformed vertex id 'x'"),
+        (_CONTACT_HEADER + "1,2,0.5\n\r\n\n2,2,0.5\n", "row 5: contact at 0.5 loops on vertex 2"),
     ],
 )
 def test_malformed_contact_corpus(text, message):
