@@ -134,7 +134,7 @@ def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None
     used.  Otherwise the vertices are 1..max over the endpoints named and
     ``n``, as in files written before vertex rows existed.
     """
-    rows = [(i, *row) for i, row in _csv_rows(text, "from,to,value")]
+    rows = list(zip(*_csv_columns(text, "from,to,value")))
     listed = frozenset(_vertex(u, "row", i) for i, u, v, w in rows if not (v.strip() or w.strip()))
     arcs = [row for row in rows if row[2].strip() or row[3].strip()]
     return _assemble(arcs, semiring, "row", listed or None, n or 0)
@@ -172,16 +172,28 @@ def parse_digraph_json(text: str) -> Digraph:
     return _assemble(rows, semiring, "arc", vertices, merged=merged)
 
 
-def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
-    """The three-cell rows after the header, each with its file line; blank rows are skipped."""
+def _csv_columns(text: str, header: str) -> tuple[list[int], list[str], list[str], list[str]]:
+    """The file line and the three cells of each row after the header, one list each.
+
+    Blank rows are skipped.  A row is dropped once its cells are appended, so
+    a large file leaves no per-row container alive for the garbage collector.
+    """
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or [c.strip() for c in rows[0][1]] != header.split(","):
-        raise ParseError(f"CSV needs the header {header}")
-    for i, row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(f"row {i}: expected three columns")
-    return rows[1:]
+    lines, us, vs, ws = columns = [], [], [], []
+    try:
+        if [c.strip() for c in next(filter(None, reader), [])] != header.split(","):
+            raise ParseError(f"CSV needs the header {header}")
+        for row in reader:
+            if len(row) == 3:
+                lines.append(reader.line_num)
+                us.append(row[0])
+                vs.append(row[1])
+                ws.append(row[2])
+            elif row:
+                raise ParseError(f"row {reader.line_num}: expected three columns")
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
+    return columns
 
 
 def _maybe_compact(d: Digraph, compact_ids: bool) -> Digraph:
@@ -285,26 +297,25 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
     The columns are converted and checked whole; a file that fails is read
     again row by row, so that the error names its first bad row.
     """
-    rows = _csv_rows(text, "source,target,time")
-    if not rows:
+    lines, *cells = _csv_columns(text, "source,target,time")
+    if not lines:
         raise ParseError("contact file holds no contacts")
-    cells = list(zip(*(row for _, row in rows)))
     try:
         src, dst = (np.array(list(map(int, col)), dtype=np.int64) for col in cells[:2])
         time = np.array(list(map(float, cells[2])), dtype=np.float64)
     except (ValueError, OverflowError):
-        _raise_row_error(rows)
+        _raise_row_error(lines, *cells)
     d = DTCN._of(frozenset(range(1, max(src.max(), dst.max(), n or 0) + 1)), src, dst, time)
     valid = min(src.min(), dst.min()) >= 1 and np.isfinite(time).all() and not (src == dst).any()
-    if not valid or len(d.src) < len(rows):
-        _raise_row_error(rows)
+    if not valid or len(d.src) < len(lines):
+        _raise_row_error(lines, *cells)
     return d
 
 
-def _raise_row_error(rows) -> None:
+def _raise_row_error(lines, *cells) -> None:
     """Raise the first bad row's error; loops and infinite times come after every other check."""
     triples: dict[tuple[int, int, float], int] = {}
-    for i, (a, b, tau) in rows:
+    for i, a, b, tau in zip(lines, *cells):
         s, t = _vertex(a, "row", i), _vertex(b, "row", i)
         try:
             triple = (s, t, float(tau))
@@ -321,4 +332,5 @@ def _raise_row_error(rows) -> None:
 
 
 def serialize_contacts(d: DTCN) -> str:
-    return "source,target,time\n" + "".join([f"{s},{t},{tau!r}\n" for s, t, tau in d.triples()])
+    rows = zip(d.src.tolist(), d.dst.tolist(), d.time.tolist())
+    return "source,target,time\n" + "".join([f"{s},{t},{tau!r}\n" for s, t, tau in rows])

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -283,8 +284,8 @@ def monte_carlo_abstraction(
     if m < 2:
         raise RandomModelError("need at least two blocks for arc frequencies")
     block_of = np.full(model.n, -1, dtype=np.int64)
-    for j, block in enumerate(partition.blocks):
-        block_of[[v - 1 for v in block]] = j
+    members = np.fromiter(chain.from_iterable(partition.blocks), dtype=np.int64)
+    block_of[members - 1] = np.repeat(np.arange(m), [len(b) for b in partition.blocks])
 
     def one_trial(t: int) -> tuple[float, np.ndarray]:
         """Frequency and sorted block-pair ids j*m + k of one abstraction."""

@@ -164,22 +164,24 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
 
     One sweep over the contacts from the latest time to the earliest keeps
     ``reach[u]``, the exits reachable from u's layer at the current time or
-    later.  At each instant, exits first join their source's reach; then the
-    inner contacts of that instant are closed by a small search, each source
-    taking the union of reach over the dropped vertices it reaches; last,
-    entries emit their triples.  The columns returned may repeat a contact.
+    later, as positions in the sweep.  At each instant, exits first join their
+    source's reach; then the inner contacts of that instant are closed by a
+    small search, each source taking the union of reach over the dropped
+    vertices it reaches; last, entries emit their exits into flat lists, which
+    are read back as contacts.  The columns returned may repeat a contact.
     """
     kept = ~(np.isin(d.src, list(drop)) | np.isin(d.dst, list(drop)))
     swept = np.flatnonzero(~kept)[np.argsort(-d.time[~kept])]
-    rows = zip(d.time[swept].tolist(), d.src[swept].tolist(), d.dst[swept].tolist())
-    emitted = []
-    reach: dict[int, set[tuple[int, float]]] = {}
+    exit_to, exit_at = d.dst[swept], d.time[swept]
+    rows = zip(exit_at.tolist(), d.src[swept].tolist(), exit_to.tolist(), range(len(swept)))
+    heads, exits, entered = [], [], []
+    reach: dict[int, set[int]] = {}
     for tau, instant in groupby(rows, key=lambda row: row[0]):
         inner: dict[int, list[int]] = {}
         entries = []
-        for _, s, t in instant:
+        for _, s, t, k in instant:
             if t not in drop:
-                reach.setdefault(s, set()).add((t, tau))
+                reach.setdefault(s, set()).add(k)
             elif s in drop:
                 inner.setdefault(s, []).append(t)
             else:
@@ -198,13 +200,17 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
             for w in seen:
                 found.update(reach.get(w, ()))
         for x, u in entries:
-            for y, t2 in reach.get(u, ()):
-                if t2 < tau:
-                    raise TemporalInvariantError(f"exit at {t2} precedes its entry at {tau}")
-                if y != x:
-                    emitted.append((x, y, t2))
-    new = zip(*emitted) if emitted else ((), (), ())
-    return [np.r_[c[kept], np.array(x, c.dtype)] for c, x in zip((d.src, d.dst, d.time), new)]
+            found = reach.get(u, ())
+            exits += found
+            heads += [x] * len(found)
+            entered += [tau] * len(found)
+    exits = np.array(exits, dtype=np.intp)
+    heads, to, at = np.array(heads, dtype=np.int64), exit_to[exits], exit_at[exits]
+    early = np.flatnonzero(at < np.array(entered))
+    if len(early):
+        raise TemporalInvariantError(f"exit at {at[early[0]]} precedes its entry at {entered[early[0]]}")
+    cross = to != heads
+    return [np.r_[c[kept], x[cross]] for c, x in zip((d.src, d.dst, d.time), (heads, to, at))]
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:

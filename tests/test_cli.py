@@ -384,6 +384,20 @@ def test_vertex_ids_beyond_int64_exit_1(tmp_path, capsys):
         assert code == 1 and f"error: {where}: vertex ids are at most" in err
 
 
+def test_an_oversized_csv_cell_exits_1(tmp_path, capsys):
+    huge = "9" * 131_073
+    contacts, graph = tmp_path / "c.csv", tmp_path / "x.csv"
+    contacts.write_text(f"source,target,time\n1,2,0.5\n1,{huge},0.5\n")
+    graph.write_text(f"from,to,value\n1,{huge},1\n")
+    for argv in [
+        ("dtcn", "detour", "--contacts", str(contacts), "--vertices", "1"),
+        ("bypass", "--graph", str(graph), "--vertex", "1"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "internal error" not in err
+        assert "field larger than field limit (131072)" in err
+
+
 def test_output_file(tmp_path, capsys):
     graph = tmp_path / "tri.edges"
     graph.write_text("1 2\n2 3\n1 3\n")

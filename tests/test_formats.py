@@ -587,3 +587,17 @@ def test_readers_and_path_abstract_build_what_the_constructor_accepts():
         assert isinstance(got, str) or got == _checked(got)
 
     holds()
+
+
+_HUGE = "9" * 131_073  # one past the csv module's default field limit
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [(parse_contacts, "source,target,time"), (parse_digraph_csv, "from,to,value")],
+)
+def test_an_oversized_csv_cell_is_a_parse_error_naming_its_row(read, header):
+    with pytest.raises(ParseError, match=r"^row 3: field larger than field limit \(131072\)$"):
+        read(f"{header}\n1,2,1\n1,{_HUGE},1\n")
+    with pytest.raises(ParseError, match=r"^row 1: field larger than field limit"):
+        read(f'"{_HUGE}"\n1,2,1\n')

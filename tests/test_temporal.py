@@ -1,9 +1,12 @@
+import gc
 import math
+import platform
 
 import pytest
 
 from pathabs import Digraph, PartialPartition, bypass_set
 from pathabs.checks import equal_time_network, layered_detour_oracle
+from pathabs.formats import parse_contacts, serialize_contacts
 from pathabs.temporal import (
     DTCN,
     Contact,
@@ -342,3 +345,41 @@ def test_columns_keep_the_value_semantics():
         assert set(out.triples()) == expected and out.vertices == set(rep.values())
 
     agrees()
+
+
+def test_two_exits_to_one_target_and_time_give_one_contact():
+    # the entry into 2 reaches 4 at 0.5 both from 2 and, through 3, from 3
+    d = DTCN.build(4, [(1, 2, 0.1), (2, 3, 0.3), (2, 4, 0.5), (3, 4, 0.5)])
+    assert dtcn_detour(d, {2, 3}).triples() == [(1, 4, 0.5)]
+    assert layered_detour_oracle(d, {2, 3}) == {(1, 4, 0.5)}
+
+
+def test_an_entry_that_reaches_its_own_tail_emits_nothing():
+    # 1 enters 2 and 2 leads back to 1: the layered digraph holds no loop to read back
+    d = DTCN.build(3, [(1, 2, 0.1), (2, 1, 0.5), (1, 3, 0.2)])
+    out = dtcn_detour(d, {2})
+    assert out.vertices == {1, 3} and out.triples() == [(1, 3, 0.2)]
+    assert layered_detour_oracle(d, {2}) == {(1, 3, 0.2)}
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="counts CPython's collections")
+def test_the_contact_lane_leaves_the_young_generation_alone():
+    # no per-row container survives a stage, so the collector rarely runs during one
+    d = sample_dtcn(5000, 8e-4, "poisson", seed=5)
+    text, drop = serialize_contacts(d), sorted(d.vertices)[::2]
+    young = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            young.append(1)
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        serialize_contacts(dtcn_detour(parse_contacts(text), drop))
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert len(d.src) == 19957 and len(young) <= 5
