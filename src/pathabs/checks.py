@@ -276,12 +276,14 @@ def check_path_abstract_routes(seed: int):
     """``path_abstract`` against bypass-then-contract and contract-then-bypass, on every semiring.
 
     Bypasses and disjoint contractions commute, so all three must agree,
-    ``merged`` included, or refuse with the same message.  Contracting first
-    can clear a route the order guard refuses when bypassing first: it can
-    cancel the route's sum (on the reals) or merge the survivors at its two
-    ends into one block.  Digraphs carry a planted cycle, every other one has
-    a merged block, and vertices are deleted so the ids have gaps; the
-    partition's ground set may run past the largest vertex.
+    ``merged`` included, or refuse with the same message; only where a cycle
+    among the bypassed vertices brings stars 1/(1 - a) on the reals may the two
+    orders differ, by rounding (``_close_arcs``).  Contracting first can clear a
+    route that bypassing first refuses: it can cancel the route's sum (on the
+    reals) or merge the survivors at its two ends into one block.  Digraphs
+    carry a planted cycle, every other one has a merged block, and vertices
+    are deleted so the ids have gaps; the partition's ground set may run past
+    the largest vertex.
     """
     rng = _stdrandom.Random(seed)
     for s in REGISTRY.values():
@@ -306,8 +308,17 @@ def check_path_abstract_routes(seed: int):
             ))
             where = f"{s.name} blocks {blocks} of {d.arcs} (merged {d.merged})"
             cancelled = isinstance(first_bypass, str) and isinstance(got, Digraph)
+            if s.name == "real" and isinstance(got, Digraph) and isinstance(first_bypass, Digraph):
+                if not is_acyclic(delete_vertices(d, kept)) and _close_arcs(got.arcs, first_bypass.arcs):
+                    first_bypass = first_bypass.with_arcs(got.arcs)  # the orders round their stars apart
             _require(got == first_contract, f"path_abstract differs from contract first on {where}")
             _require(got == first_bypass or cancelled, f"path_abstract differs from bypass first on {where}")
+
+
+def _close_arcs(a: dict, b: dict) -> bool:
+    """Real arc maps equal to 1e-9 relative to their largest value, or 1; an absent arc reads 0."""
+    scale = max(map(abs, [1.0, *a.values(), *b.values()]))
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= 1e-9 * scale for k in a.keys() | b.keys())
 
 
 def _or_refusal(route):

@@ -11,7 +11,8 @@ and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
 on arc arrays: ``path_abstract`` wraps it for a ``Digraph``, the Monte Carlo in
 ``random`` calls it per trial, and on the boolean semiring ``detour_set`` and
 ``bypass_set`` call it with each survivor its own block, since a bypass is the
-path abstraction that merges nothing.  Other semirings fold the detours.
+path abstraction that merges nothing.  Other semirings eliminate the dropped
+vertices one at a time with the semiring's star, which sums the walks through them.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
@@ -29,7 +30,9 @@ from .digraph import (
     classify_vertex,
     contract_blocks,
     delete_vertices,
+    induced_subgraph,
     scc_labels,
+    strongly_connected_components,
 )
 from .partitions import PartialPartition, PartitionError
 
@@ -77,79 +80,59 @@ def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
 
 
 def _fold_detours(d: Digraph, vs: list[int]) -> dict:
-    """The arcs after detouring at each of ``vs`` in turn, off the boolean semiring.
-
-    Successor and predecessor value maps are built once and rewired in place:
-    each predecessor x and distinct successor y of v get normalize(old +
-    mu(x, v)·mu(v, y)), as ``weighted.weighted_detour`` does."""
+    """The survivors' arcs once each of ``vs`` is eliminated in turn, off the boolean semiring:
+    each x -> v -> y, loops included, adds mu(x, v)·mu(v, v)*·mu(v, y) to (x, y), the algebraic
+    path problem's elimination step, so the arcs are walk sums through ``vs`` in any order.
+    Successor and predecessor value maps are built once and rewired in place."""
     s = d.semiring
-    if s.add(s.one, s.one) != s.one:  # addition is not idempotent
-        _require_order_free(d, vs)
     succ: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     pred: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     for (x, y), value in d.arcs.items():
         succ[x][y] = pred[y][x] = value
     for v in vs:
         ps, ss = pred.pop(v), succ.pop(v)  # v stays isolated: nothing links to it again
+        loop, _ = ss.pop(v, None), ps.pop(v, None)
         for x in ps:
             del succ[x][v]
         for y in ss:
             del pred[y][v]
+        if loop is not None:
+            star = None if isinstance(loop, _Unbounded) else s.star(loop)
+            ps = {x: s.mul(a, _Unbounded({v}) if star is None else star) for x, a in ps.items()}
         for x, a in ps.items():
             for y, b in ss.items():
-                if x != y:
-                    old, through = succ[x].get(y), s.mul(a, b)
-                    total = through if old is None else s.add(old, through)
-                    value = succ[x][y] = pred[y][x] = s.normalize(total)
-                    if value is None:
-                        del succ[x][y], pred[y][x]
-    return {(x, y): value for x, ys in succ.items() for y, value in ys.items()}
+                old, through = succ[x].get(y), s.mul(a, b)
+                total = through if old is None else s.add(old, through)
+                value = succ[x][y] = pred[y][x] = s.normalize(total)
+                if value is None:
+                    del succ[x][y], pred[y][x]
+    arcs = {(x, y): value for x, ys in succ.items() for y, value in ys.items() if x != y}
+    pivots = frozenset().union(*(value for value in arcs.values() if isinstance(value, _Unbounded)))
+    if pivots:
+        cycle = min((c for c in strongly_connected_components(induced_subgraph(d, vs)) if c & pivots), key=min)
+        raise DigraphError(f"dropped vertices {{{', '.join(map(str, sorted(cycle)))}}} form a cycle on a route "
+                           f"between survivors; on the {s.name} semiring the walk sum through them has no value")
+    return arcs
 
 
-def _require_order_free(d: Digraph, vs: list[int]) -> None:
-    """Name in a ``DigraphError`` a strong component of two or more dropped vertices
-    that a survivor x reaches, and that reaches a survivor y != x, through dropped
-    vertices.  Without one, routes between distinct survivors are simple paths and
-    any fold order sums their products.  Sufficient, not exact."""
-    pos = {v: i for i, v in enumerate(vs)}
-    inner = [(pos[x], pos[y]) for x, y in d.arcs if x in pos and y in pos]
-    label = scc_labels(len(vs), *np.array(inner, dtype=np.int64).reshape(-1, 2).T).tolist()
-    ends = {}  # (component, 0): the one survivor that reaches it, (component, 1): that it reaches
-    for x, y in d.arcs:
-        if (x in pos) != (y in pos):
-            key, v = ((label[pos[x]], 1), y) if x in pos else ((label[pos[y]], 0), x)
-            ends[key] = _join(ends.get(key), v)
-    links = sorted({(label[a], label[b]) for a, b in inner})
-    for c, t in links:  # ascending: an arc between components never climbs in label
-        ends[c, 1] = _join(ends.get((c, 1)), ends.get((t, 1)))
-    for c, t in reversed(links):
-        ends[t, 0] = _join(ends.get((t, 0)), ends.get((c, 0)))
-    size = np.bincount(label)
-    for c in label:  # the component of the smallest such vertex
-        x, y = ends.get((c, 0)), ends.get((c, 1))
-        if size[c] > 1 and None not in (x, y) and (x is _MANY or x != y):
-            cycle = ", ".join(str(v) for v, l in zip(vs, label) if l == c)
-            raise DigraphError(
-                f"dropped vertices {{{cycle}}} form a cycle on a route between survivors; "
-                f"on the {d.semiring.name} semiring the set detour may depend on the fold order"
-            )
+class _Unbounded(frozenset):
+    """A walk sum with no value, holding the pivots whose star had none; it absorbs sums and products."""
 
+    def _absorb(self, other):
+        return _Unbounded(self | other if isinstance(other, _Unbounded) else self)
 
-_MANY = object()  # two or more survivors
-
-
-def _join(a, b):  # the one survivor among a and b (None for none), or _MANY
-    return b if a is None or a == b else a if b is None else _MANY
+    __add__ = __radd__ = __mul__ = __rmul__ = _absorb
 
 
 def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, in one pass; the set stays, isolated.
 
-    Equal to folding ``detour`` (boolean) or ``weighted.weighted_detour`` in
-    ascending vertex order.  Boolean time is that of ``abstraction_pairs`` with a
-    block per survivor; otherwise O(n + m) plus the sum over the set of
-    |pred(v)|·|succ(v)| at v's turn.  When addition is idempotent every order
-    agrees; otherwise a set whose fold might depend on the order raises ``DigraphError``."""
+    Boolean: folding ``detour`` in any order, in the time of ``abstraction_pairs``
+    with a block per survivor.  Otherwise an arc sums the arc-value products of the
+    walks through the set, in O(n + m) plus the sum over the set of |pred(v)|·|succ(v)|
+    at v's turn; that is ``weighted.weighted_detour`` folded in any order unless a cycle
+    of the set lies on a route between distinct survivors.  A walk sum with no value
+    (a cycle on such a route on counting, a singular pivot on the reals) raises ``DigraphError``."""
     _, arcs = _bypass_arcs(d, vertices)
     return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
 
@@ -277,14 +260,14 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
 
     Bypasses and disjoint contractions commute, so the result equals both
     ``contract_blocks(bypass_set(d, outside), blocks)`` and
-    ``bypass_set(contract_blocks(d, blocks), outside)``: vertices, arcs and
-    ``merged``.  Off the boolean semiring it is the second, whose fill-in is
-    smaller: an arc sums the products along the routes from block to block
-    through bypassed vertices, or is their least sum on min-plus.  A boolean
-    input takes one ``abstraction_pairs`` call on the arcs, renumbered
-    0..n-1, and every arc carries the semiring's one; only a hand-built arc
-    holding another nonzero value, such as 2, reads 1 here where the
-    two-step route may keep it.
+    ``bypass_set(contract_blocks(d, blocks), outside)``: vertices, arcs (on the
+    reals, up to the stars' rounding) and ``merged``.  Off the boolean semiring
+    it is the second, whose fill-in is smaller: an arc sums the products along
+    the walks from block to block through bypassed vertices, or is their least
+    sum on min-plus.  A boolean input takes one ``abstraction_pairs`` call on
+    the arcs, renumbered 0..n-1, and every arc carries the semiring's one; only
+    a hand-built arc holding another nonzero value, such as 2, reads 1 here
+    where the two-step route may keep it.
     """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")

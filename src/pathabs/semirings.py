@@ -26,7 +26,7 @@ class SemiringSpec:
 
     ``cancellative`` records whether both operations cancel (a+c=b+c => a=b,
     and a*c=b*c => a=b for c nonzero); closed-form commutation criteria are
-    exact only for such carriers.
+    exact only for such carriers.  ``star`` is a loop's closure a* = one + a·a*, None where it has no value.
     """
 
     name: str
@@ -39,6 +39,7 @@ class SemiringSpec:
     cancellative: bool = False
     parse_value: Callable[[str], Any] = field(default=lambda s: s, repr=False)
     format_value: Callable[[Any], str] = field(default=str, repr=False)
+    star: Callable[[Any], Any] = field(default=lambda a: None, repr=False)
 
     def normalize(self, value):
         """Map a computed value to None when it denotes arc absence."""
@@ -84,6 +85,7 @@ BOOLEAN = SemiringSpec(
     is_zero=lambda v: v == 0,
     cancellative=False,
     parse_value=_parse_bool,
+    star=lambda a: 1,
 )
 
 COUNTING = SemiringSpec(
@@ -96,6 +98,7 @@ COUNTING = SemiringSpec(
     is_zero=lambda v: v == 0,
     cancellative=True,
     parse_value=_parse_count,
+    star=lambda a: 1 if a == 0 else None,  # a nonzero loop has infinitely many walks
 )
 
 # Law checks sample integer-valued floats so +/* stay exact.
@@ -109,6 +112,7 @@ REAL = SemiringSpec(
     is_zero=lambda v: v == 0.0,
     cancellative=True,
     parse_value=_parse_real,
+    star=lambda a: None if a == 1 else 1 / (1 - a),
 )
 
 MINPLUS_NONNEG = SemiringSpec(
@@ -121,6 +125,7 @@ MINPLUS_NONNEG = SemiringSpec(
     is_zero=None,
     cancellative=False,
     parse_value=_parse_nonneg_float,
+    star=lambda a: 0.0,
 )
 
 REGISTRY = {s.name: s for s in (BOOLEAN, COUNTING, REAL, MINPLUS_NONNEG)}

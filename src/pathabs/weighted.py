@@ -2,11 +2,11 @@
 
 The weighted detour clears the row and column of the detoured vertex and adds
 the product through it to every other entry; on the boolean semiring this is
-arc-for-arc the plain detour.  Unlike the boolean case, weighted detours need
-not commute: the exact criterion (for cancellative carriers) is a 2-cycle
-between the two vertices plus an asymmetric through-product, and a witness
-entry is returned when it fires.  ``weighted_detour`` is the per-vertex
-reference for ``pabstract.detour_set``, which folds a set off the boolean semiring.
+arc-for-arc the plain detour.  Weighted detours need not commute: the exact
+criterion (cancellative carriers) is a 2-cycle between the two vertices plus an
+asymmetric through-product, and a witness entry is returned when it fires.
+``weighted_detour`` is the per-vertex reference for ``pabstract.detour_set``
+where no dropped cycle lies on a route between distinct survivors.
 
 A multigraph here is simply a counting-semiring digraph whose arc values are
 multiplicities.

@@ -134,6 +134,18 @@ def test_bypass_and_pabstract_refuse_an_order_dependent_weighted_fold(tmp_path, 
     assert err.startswith("pathabs: error:") and "{1, 3}" in err
 
 
+def test_bypass_sums_the_walks_round_a_dropped_cycle(tmp_path, capsys):
+    graph = tmp_path / "w.edges"
+    graph.write_text("n 4\n1 2 1\n2 3 0.5\n3 2 0.5\n3 4 1\n")
+    code, out, _ = run_cli(capsys, "bypass", "--graph", str(graph), "--semiring", "real", "--vertices", "2,3")
+    assert (code, out) == (0, "vertices 1 4\n1 4 0.6666666666666666\n")  # 0.5 / (1 - 0.5 * 0.5)
+    # on counting the same shape has infinitely many walks from 1 to 4
+    graph.write_text("n 4\n1 2 1\n2 3 1\n3 2 1\n3 4 1\n")
+    code, out, err = run_cli(capsys, "bypass", "--graph", str(graph), "--semiring", "counting", "--vertices", "2,3")
+    assert (code, out) == (1, "")
+    assert err.startswith("pathabs: error: dropped vertices {2, 3} form a cycle") and "has no value" in err
+
+
 def test_json_graph_input(tmp_path, capsys):
     good = tmp_path / "g.json"
     good.write_text(

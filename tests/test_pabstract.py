@@ -29,11 +29,12 @@ from pathabs import (
 )
 from pathabs.digraph import delete_vertices
 from pathabs.pabstract import is_path_of, is_walk_of
-from pathabs.checks import _or_refusal
+from pathabs.checks import _close_arcs, _or_refusal
 from pathabs.partitions import discrete_partition
 from pathabs.semirings import REGISTRY
 
-from conftest import random_dag, random_digraph, route_sums
+from conftest import cycles_between_survivors, random_dag, random_digraph, route_sums, schur_complement
+from conftest import survivors_around as _survivors_around
 
 FIG_LOCAL = Digraph.build(7, [(1, 4), (2, 4), (4, 6), (4, 7), (3, 4), (5, 4), (4, 3), (4, 5)])
 FIG_CYCLIC = Digraph.build(4, [(1, 2), (1, 3), (2, 3), (3, 1), (3, 4), (4, 1)])
@@ -488,16 +489,6 @@ def test_order_guard_accepts_a_cycle_that_returns_to_its_block():
     assert bypass_set(loop, [2, 3]).arcs == {(1, 4): 3}
 
 
-def _survivors_around(drop, cycle, step):
-    """The survivors that ``step`` reaches from a cycle through dropped vertices only."""
-    seen, todo, found = set(cycle), list(cycle), set()
-    while todo:
-        for w in step(todo.pop()) - seen:
-            seen.add(w)
-            todo.append(w) if w in drop else found.add(w)
-    return found
-
-
 def _ends_in_one_block(d, blocks, drop):
     """Whether every dropped cycle that some survivor reaches and that reaches some
     survivor has all those survivors in one block, so contracting first clears it."""
@@ -663,33 +654,45 @@ def _contracted_route_sums(d, blocks, outside):
 
 def test_path_abstract_on_every_semiring(rng):
     for name, s in REGISTRY.items():
-        accepted = refused = 0
+        accepted = refused = valued = 0
         for d, p in _weighted_corpus(rng, s):
             blocks, outside = list(p.blocks), d.vertices - p.support
             got, first_bypass, first_contract = _three_routes(d, p)
             assert got == first_contract
             if isinstance(got, str):
-                # the order guard refuses both routes, naming the same cycle
+                # a walk sum with no value refuses both routes, naming the same cycle
                 assert s.add(s.one, s.one) != s.one and first_bypass == got
                 refused += 1
                 continue
             accepted += 1
+            contracted = contract_blocks(d, blocks)
+            # on the reals, walks between distinct blocks can circle a dropped cycle
+            walks = name == "real" and cycles_between_survivors(contracted, outside)
             if isinstance(first_bypass, str):
                 # contracting first cancelled the refused route (a signed sum), or
                 # merged the blocks it leaves and enters into one
                 assert name == "real" or _ends_in_one_block(d, blocks, outside)
+            elif walks:
+                assert (got.vertices, got.merged) == (first_bypass.vertices, first_bypass.merged)
+                assert _close_arcs(got.arcs, first_bypass.arcs)
             else:
                 assert got == first_bypass
             assert got.vertices == {min(block) for block in blocks}
-            if name == "boolean":
+            if walks:
+                valued += 1
+                cond, sums = schur_complement(contracted, outside)
+                assert sums is None or _close_arcs(got.arcs, sums), cond
+            elif name == "boolean":
                 assert got == _closure_then_contract(d, outside, blocks)
             elif name == "minplus-nonneg":
                 assert got.arcs == _dijkstra_abstraction(d, blocks, outside)
             else:
                 assert got.arcs == _contracted_route_sums(d, blocks, outside)
         assert accepted > 100
-        if name in ("counting", "real"):
+        if name == "counting":
             assert refused > 5
+        if name == "real":  # walk sums through a dropped cycle, and singular pivots
+            assert valued > 10 and refused > 0
 
 
 def test_contracting_first_can_cancel_a_refused_route():
@@ -738,3 +741,32 @@ def test_path_abstract_property():
         assert got == first_bypass or cancelled
 
     agrees()
+
+
+def test_relabelling_reorders_the_elimination_but_not_the_bypass(rng):
+    for name, s in REGISTRY.items():
+        compared = refused = 0
+        for d, p in _weighted_corpus(rng, s):
+            outside, ids = d.vertices - p.support, sorted(d.vertices)
+            perm = dict(zip(ids, rng.sample(ids, len(ids))))  # eliminates the dropped set in another order
+            moved = Digraph(d.vertices, {(perm[x], perm[y]): value for (x, y), value in d.arcs.items()}, s)
+            got = _or_refusal(lambda: bypass_set(d, outside))
+            back = _or_refusal(lambda: bypass_set(moved, {perm[v] for v in outside}))
+            inverse = {new: old for old, new in perm.items()}
+            if name == "real" and isinstance(got, str) != isinstance(back, str):
+                continue  # a pivot of one order is exactly singular, and no pivot of the other
+            if isinstance(got, str):
+                assert isinstance(back, str)
+                witness = {inverse[int(v)] for v in re.search(r"\{([\d, ]+)\}", back).group(1).split(", ")}
+                assert witness in cycles_between_survivors(d, outside)
+                refused += 1
+            else:
+                back = {(inverse[x], inverse[y]): value for (x, y), value in back.arcs.items()}
+                if name != "real":
+                    assert _typed(got.arcs) == _typed(back)
+                elif schur_complement(d, outside)[0] <= 1e8:
+                    assert _close_arcs(got.arcs, back)
+                compared += 1
+        assert compared > 100
+        if name in ("counting", "real"):
+            assert refused > 2

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from pathabs.semirings import (
@@ -5,6 +8,7 @@ from pathabs.semirings import (
     COUNTING,
     MINPLUS_NONNEG,
     REAL,
+    REGISTRY,
     SemiringError,
     SemiringSpec,
     check_semiring_laws,
@@ -16,6 +20,22 @@ from pathabs.semirings import (
 def test_laws_pass(name):
     report = check_semiring_laws(get_semiring(name), 100, 7)
     assert report.all_pass, report
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_star_is_one_plus_a_times_its_star(name):
+    s = get_semiring(name)
+    rng = random.Random(11)
+    defined = 0
+    for a in [s.sample(rng) for _ in range(200)] + [s.one, 0.5, -0.5, 0.25][: 4 if name == "real" else 1]:
+        star = s.star(a)
+        if star is not None:
+            law = s.add(s.one, s.mul(a, star))
+            assert law == star or name == "real" and math.isclose(law, star, rel_tol=1e-12), a
+            defined += 1
+    assert defined > 30
+    # no value: a nonzero counting loop has infinitely many walks, and a real loop of 1 gives 1/0
+    assert all(s.star(a) is None for a in {"counting": [1, 3], "real": [1.0]}.get(name, []))
 
 
 def test_laws_deterministic():

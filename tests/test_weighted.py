@@ -18,10 +18,11 @@ from pathabs import (
     weighted_contract_commutes,
     weighted_detour,
 )
+from pathabs.checks import _close_arcs
 from pathabs.semirings import REGISTRY
 from pathabs.weighted import double_detour_entry
 
-from conftest import random_dag, random_digraph, random_multigraph, route_sums
+from conftest import cycles_between_survivors, random_dag, random_digraph, random_multigraph, route_sums, schur_complement
 
 # counting-semiring multigraph: 1->2, 1->4, a double arc 3->1, 4->1
 MULTI = Digraph.build(4, {(1, 2): 1, (1, 4): 1, (3, 1): 2, (4, 1): 1}, COUNTING)
@@ -238,7 +239,7 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
         "minplus-nonneg": lambda: float(rng.randint(0, 5)),
     }
     for name, s in REGISTRY.items():
-        accepted = refused = cancelled = 0
+        accepted = refused = cancelled = valued = 0
         for _ in range(300):
             n = rng.randint(3, 7)
             p = rng.choice((0.2, 0.35, 0.5))
@@ -261,6 +262,12 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
                 assert witness & _through_dropped(d, dropped, exits, False)
                 continue
             accepted += 1
+            if name == "real" and cycles_between_survivors(d, dropped):
+                # walks between distinct survivors circle a dropped cycle: the loopless folds disagree
+                valued += 1
+                cond, sums = schur_complement(d, dropped)
+                assert sums is None or _close_arcs(out.arcs, sums), cond
+                continue
             exact = {key: (type(value), repr(value)) for key, value in out.arcs.items()}
             ascending = _weighted_fold(d, sorted(dropped))
             assert exact == {key: (type(value), repr(value)) for key, value in ascending.arcs.items()}
@@ -273,5 +280,7 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
         assert accepted > 100
         if name == "real":
             assert cancelled > 0
-        if name in ("counting", "real"):
+        if name == "counting":
             assert refused > 10
+        if name == "real":  # walk sums through a dropped cycle, and singular pivots
+            assert valued > 20 and refused > 0
