@@ -359,6 +359,12 @@ def test_rand_scc(capsys):
     assert out.startswith("predicted_fraction 0.63")
 
 
+def test_rand_scc_pinned(capsys):
+    code, out, _ = run_cli(capsys, "rand", "scc", "--n", "2000", "--c", "2", "--trials", "20", "--seed", "5")
+    assert code == 0
+    assert out == "predicted_fraction 0.6349095705467167\nempirical_fraction 0.6365999999999998\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("--n", "0", "--c", "2.0"), ("--n", "3", "--c", "5")],

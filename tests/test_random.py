@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -228,6 +229,25 @@ def test_scc_statistics_at_the_extremes():
     assert strong_connectivity_rate_mc(1, 0.0, trials=3, seed=0) == 1.0
     assert strong_connectivity_rate_mc(4, 0.0, trials=3, seed=0) == 0.0
     assert strong_connectivity_rate_mc(4, 1.0, trials=3, seed=0) == 1.0
+
+
+def test_scc_statistics_pinned():
+    # Exact outputs on shapes large enough for scc_labels' vectorised phases:
+    # any labelling with the same partition gives the same floats.
+    assert largest_scc_fraction_mc(2000, 2.0, 20, seed=7) == 0.6396499999999999
+    # n=300 near the strong-connectivity threshold, whose limit formula gives 0.48.
+    assert strong_connectivity_rate_mc(300, 0.0225, 200, seed=3) == 0.495
+
+
+def test_monte_carlo_pinned_on_a_large_dropped_set():
+    # 9,000 dropped vertices and about 16,000 arcs among them: scc_labels
+    # may label their components in any valid order, the pairs stay put.
+    model = GnpModel(10_000, 2e-4)
+    r = monte_carlo_abstraction(model, PartialPartition(10_000, [{v} for v in range(1, 1001)]), 2, seed=11)
+    digest = hashlib.sha256(r.pairs.astype("<i8").tobytes() + r.pair_counts.astype("<i8").tobytes())
+    assert digest.hexdigest() == "ea7ee03a81065f4d69407f0e3090d18b9a6c254aef8aae28c72c9c0dd262462f"
+    assert len(r.pairs) == 783_737
+    assert r.frequencies == (0.5387947947947948, 0.5294474474474474)
 
 
 def test_monte_carlo_deterministic_and_parallel():
