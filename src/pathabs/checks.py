@@ -417,20 +417,29 @@ def check_scc_acyclic(seed: int):
 
 
 def check_scc_reachability(seed: int):
-    """Strong components against mutual reachability, on vertex ids with gaps."""
+    """Strong components against mutual reachability, on vertex ids with gaps.
+
+    The two 600-vertex draws are above ``scc_labels``' crossover: the sparser
+    one reaches its trimming, the denser its forward-backward search too."""
     rng = _stdrandom.Random(seed)
     for _ in range(150):
         n = rng.randint(1, 12)
         d = _random_digraph(rng, n, rng.choice((0.1, 0.25, 0.5, 1.0)))
-        d = delete_vertices(d, rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
-        reach = reachability(d)
-        expected, placed = [], set()
-        for v in sorted(d.vertices):
-            if v not in placed:
-                comp = frozenset({v} | {w for w in reach[v] if v in reach[w]})
-                expected.append(comp)
-                placed |= comp
-        _require(strongly_connected_components(d) == expected, f"components differ from mutual reach on {d}")
+        _require_mutual_reach(delete_vertices(d, rng.sample(range(1, n + 1), rng.randint(0, n - 1))))
+    for c in (1.5, 3.0):
+        d = _random_digraph(rng, 600, c / 600)
+        _require_mutual_reach(delete_vertices(d, rng.sample(range(1, 601), 30)))
+
+
+def _require_mutual_reach(d: Digraph):
+    reach = reachability(d)
+    expected, placed = [], set()
+    for v in sorted(d.vertices):
+        if v not in placed:
+            comp = frozenset({v} | {w for w in reach[v] if v in reach[w]})
+            expected.append(comp)
+            placed |= comp
+    _require(strongly_connected_components(d) == expected, f"components differ from mutual reach on {d}")
 
 
 SUITES = [

@@ -246,13 +246,129 @@ def classify_vertex(d: Digraph, v: int) -> NeighborClassification:
     )
 
 
+# Below this n + m, ``scc_labels`` is Tarjan alone; above it the numpy phases
+# win (BENCH_scc.json).
+_SCC_CROSSOVER = 1024
+
+
 def scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Strong-component label of each vertex 0..n-1 of the arcs ``src[i] -> dst[i]``.
 
-    Tarjan's algorithm, iterative, over CSR successor lists.  Labels number
-    the components 0, 1, ... in the order Tarjan completes them, so every arc
-    between two components runs from the higher label to the lower.  A vertex
-    is on the Tarjan stack exactly when it has an index and no label yet.
+    Labels number the components 0, 1, ... contiguously, and every arc
+    between two components runs from the higher label to the lower.  Three
+    phases (Fleischer, Hendrickson & Pinar, 2000; the trim step is McLendon
+    et al., JPDC 65, 2005):
+
+    1. Trim: a round peels, with one ``bincount`` per direction, the vertices
+       that have no live out-arc, then of the rest those with no live in-arc;
+       each is a component alone.  Out-peeled rounds take the lowest labels
+       in round order, in-peeled rounds the highest in reverse round order.
+       An arc from an out-peeled vertex was dead when it peeled, so it ends
+       at a vertex out-peeled in an earlier round, and an arc into an
+       in-peeled vertex starts at one in-peeled earlier; no arc joins two
+       vertices peeled in one round from one side.
+    2. Forward-backward: the vertices that both reach and are reached from
+       the core vertex of largest in-degree times out-degree form its
+       component, the giant on a random digraph.
+    3. ``_tarjan`` on the core with the giant contracted to one vertex; its
+       labels fill the band between the two peeled ones.
+
+    Two guards keep the worst case linear: trimming stops after a round that
+    peels under 1/32 of what is left, and a search that runs past
+    2·bit_length(core size) + 8 levels is abandoned for Tarjan on the whole
+    core.  Below
+    a crossover of n + m = 1024, measured on G(n, c/n) with c from 0.6 to 4
+    (BENCH_scc.json), the phases cost more than they save and Tarjan runs
+    alone; the core gets the same test.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if n + len(src) < _SCC_CROSSOVER:
+        return _tarjan(n, src, dst)
+    alive = np.ones(n, dtype=bool)
+    sinks: list[np.ndarray] = []
+    sources: list[np.ndarray] = []
+    left = n
+    while True:
+        sink = alive & (np.bincount(src, minlength=n) == 0)
+        source = alive & (np.bincount(dst, minlength=n) == 0) & ~sink
+        sinks.append(np.flatnonzero(sink))
+        sources.append(np.flatnonzero(source))
+        peeled = len(sinks[-1]) + len(sources[-1])
+        alive &= ~(sink | source)
+        left -= peeled
+        if peeled:
+            live = alive[src] & alive[dst]
+            src, dst = src[live], dst[live]
+        if not left or peeled * 32 < left:
+            break
+    label = np.empty(n, dtype=np.int64)
+    low = np.concatenate(sinks)
+    label[low] = np.arange(len(low))
+    top = len(low)
+    if left:
+        core = np.flatnonzero(alive)
+        pos = np.cumsum(alive) - 1
+        inner = _core_labels(left, pos[src], pos[dst])
+        label[core] = top + inner
+        top += int(inner.max()) + 1
+    high = np.concatenate(sources[::-1])
+    label[high] = top + np.arange(len(high))
+    return label
+
+
+def _core_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``scc_labels`` phases 2 and 3 on the core left by trimming."""
+    if n + len(src) < _SCC_CROSSOVER:
+        return _tarjan(n, src, dst)
+    pivot = int(np.argmax(np.bincount(src, minlength=n) * np.bincount(dst, minlength=n)))
+    # Both searches in one: vertices n..2n-1 are a reversed copy of the core.
+    both_src, both_dst = np.concatenate((src, dst + n)), np.concatenate((dst, src + n))
+    seen = _reach(2 * n, both_src, both_dst, [pivot, pivot + n], 2 * n.bit_length() + 8)
+    if seen is None:
+        return _tarjan(n, src, dst)
+    giant = seen[:n] & seen[n:]
+    # Vertex 0 of the quotient is the giant; the others keep their order.
+    rest = ~giant
+    quot = np.cumsum(rest)
+    quot[giant] = 0
+    qs, qd = quot[src], quot[dst]
+    between = qs != qd
+    return _tarjan(int(rest.sum()) + 1, qs[between], qd[between])[quot]
+
+
+def _reach(n: int, src: np.ndarray, dst: np.ndarray, roots: list[int], levels: int) -> Optional[np.ndarray]:
+    """Vertices reachable from ``roots``, breadth-first over CSR lists, or None
+    when the search runs past ``levels`` levels."""
+    succ = np.sort(src * n + dst) % n  # one sort of the arc keys orders the heads by tail
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    degree = np.diff(start)
+    seen = np.zeros(n, dtype=bool)
+    seen[roots] = True
+    first = np.empty(n, dtype=np.int64)
+    frontier = np.array(roots, dtype=np.int64)
+    for _ in range(levels):
+        count = degree[frontier]
+        ends = np.cumsum(count)
+        nbr = succ[np.repeat(start[frontier] - ends + count, count) + np.arange(int(ends[-1]))]
+        nbr = nbr[~seen[nbr]]
+        if not len(nbr):
+            return seen
+        # Each new vertex once: whichever of its positions is written last.
+        slots = np.arange(len(nbr))
+        first[nbr] = slots
+        frontier = nbr[first[nbr] == slots]
+        seen[frontier] = True
+    return None
+
+
+def _tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``scc_labels`` by Tarjan's algorithm, iterative, over CSR successor lists.
+
+    Labels number the components in the order Tarjan completes them, so every
+    arc between two components runs from the higher label to the lower.  A
+    vertex is on the Tarjan stack exactly when it has an index and no label yet.
     """
     src = np.asarray(src, dtype=np.int64)
     order = np.argsort(src, kind="stable")

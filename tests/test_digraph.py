@@ -17,8 +17,9 @@ from pathabs import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
-from pathabs.digraph import CyclicGraphError, delete_vertices, scc_labels
+from pathabs.digraph import CyclicGraphError, _tarjan, delete_vertices, scc_labels
 from pathabs.pabstract import bypass
+from pathabs.random import GnpModel, sample_arcs
 
 from conftest import random_dag, random_digraph
 
@@ -162,7 +163,7 @@ def _label_components(d):
     dst = np.array([y - 1 for _, y in d.arcs], dtype=np.int64)
     labels = scc_labels(d.n, src, dst)
     assert labels.dtype == np.int64 and labels.shape == (d.n,)
-    # Tarjan completes sink components first: arcs never climb in label.
+    # Sink components take the lowest labels: arcs never climb in label.
     assert all(labels[x] >= labels[y] for x, y in zip(src, dst))
     groups = {}
     for v, label in enumerate(labels.tolist(), start=1):
@@ -198,6 +199,64 @@ def test_scc_labels_on_a_long_cycle():
     assert not labels.any()
     labels = scc_labels(n, src[:-1], src[1:])
     assert labels.tolist() == list(range(n - 1, -1, -1))
+
+
+def _smallest_member(labels):
+    """Each vertex's component named by its smallest vertex: a labelling-free partition."""
+    first = np.full(len(labels), len(labels))
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    return first[labels]
+
+
+def _require_valid_labels(n, src, dst):
+    labels = scc_labels(n, src, dst)
+    assert labels.dtype == np.int64 and labels.shape == (n,)
+    assert np.array_equal(np.unique(labels), np.arange(len(np.unique(labels))))
+    assert np.all(labels[src] >= labels[dst])
+    assert np.array_equal(_smallest_member(labels), _smallest_member(_tarjan(n, src, dst)))
+
+
+def _blobs(rng, sizes, c):
+    """Disjoint G(k, c/k) draws on consecutive vertex ranges, one per size."""
+    src, dst, base = [], [], 0
+    for k in sizes:
+        s, d = sample_arcs(GnpModel(k, c / k), rng)
+        src.append(s + base)
+        dst.append(d + base)
+        base += k
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _adversarial_shapes(n=50_000):
+    """Shapes that defeat trimming or the forward-backward search, on n vertices."""
+    rng = np.random.default_rng(17)
+    half = n // 2
+    v = np.arange(n, dtype=np.int64)
+    cycle = (v[:half], (v[:half] + 1) % half)
+    tail = (v[half:], np.append(v[half + 1 :], 0))
+    yield "lollipop-into-cycle", (np.concatenate((cycle[0], tail[0])), np.concatenate((cycle[1], tail[1])))
+    yield "lollipop-out-of-cycle", (np.concatenate((cycle[0], tail[1])), np.concatenate((cycle[1], tail[0])))
+    even = v[0::2]
+    yield "ladder-of-2-cycles", (np.concatenate((even, even + 1, even[:-1])), np.concatenate((even + 1, even, even[1:])))
+    src, dst = _blobs(rng, (half, n - half), 4.0)
+    joins = rng.integers(0, half, size=(2, 10))
+    yield "bow-tie", (np.concatenate((src, joins[0])), np.concatenate((dst, joins[1] + half)))
+    yield "many-disjoint-giants", _blobs(rng, [n // 50] * 50, 4.0)
+    yield "giant-and-isolated-vertices", _blobs(rng, (half,), 2.0)
+    yield "no-arcs", (v[:0], v[:0])
+
+
+def test_scc_labels_match_tarjan_across_the_crossover():
+    rng = np.random.default_rng(5)
+    for n in (100, 300, 600, 1000, 2000, 5000):
+        for c in (0.5, 1.0, 1.5, 2.0, 4.0):
+            for _ in range(3):
+                _require_valid_labels(n, *sample_arcs(GnpModel(n, c / n), rng))
+
+
+def test_scc_labels_on_adversarial_shapes():
+    for _, (src, dst) in _adversarial_shapes():
+        _require_valid_labels(50_000, src, dst)
 
 
 def test_is_acyclic():
