@@ -211,7 +211,8 @@ def _smallest_member(labels):
 def _require_valid_labels(n, src, dst):
     labels = scc_labels(n, src, dst)
     assert labels.dtype == np.int64 and labels.shape == (n,)
-    assert np.array_equal(np.unique(labels), np.arange(len(np.unique(labels))))
+    ids = np.unique(labels)
+    assert np.array_equal(ids, np.arange(len(ids)))
     assert np.all(labels[src] >= labels[dst])
     assert np.array_equal(_smallest_member(labels), _smallest_member(_tarjan(n, src, dst)))
 

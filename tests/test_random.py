@@ -242,8 +242,9 @@ def test_scc_statistics_pinned():
 def test_monte_carlo_pinned_on_a_large_dropped_set():
     # 9,000 dropped vertices and about 16,000 arcs among them: scc_labels
     # may label their components in any valid order, the pairs stay put.
-    model = GnpModel(10_000, 2e-4)
-    r = monte_carlo_abstraction(model, PartialPartition(10_000, [{v} for v in range(1, 1001)]), 2, seed=11)
+    model, singletons = GnpModel(10_000, 2e-4), PartialPartition(10_000, [{v} for v in range(1, 1001)])
+    r = monte_carlo_abstraction(model, singletons, 2, seed=11)
+    assert monte_carlo_abstraction(model, singletons, 2, seed=11, workers=2) == r
     digest = hashlib.sha256(r.pairs.astype("<i8").tobytes() + r.pair_counts.astype("<i8").tobytes())
     assert digest.hexdigest() == "ea7ee03a81065f4d69407f0e3090d18b9a6c254aef8aae28c72c9c0dd262462f"
     assert len(r.pairs) == 783_737
