@@ -402,6 +402,44 @@ def test_vertex_ids_beyond_int64_exit_1(tmp_path, capsys):
         assert code == 1 and f"error: {where}: vertex ids are at most" in err
 
 
+# The CLI under a 1 GiB address-space cap: a reader that enumerated a vertex
+# range of 10**10 would fail there with a MemoryError, not take the machine's memory.
+_CAPPED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from pathabs.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_readers_refuse_a_vertex_range_they_cannot_hold(tmp_path):
+    big = 10**10
+    files = {
+        "n.edges": f"n {big}\n1 2\n",
+        "top.edges": f"1 2\n2 {big}\n",
+        "top.csv": f"from,to,value\n1,2,1\n{big},1,1\n",
+        "c.csv": f"source,target,time\n1,2,0.5\n1,{big},0.5\n",
+        "g.edges": "1 2\n",
+        "g.labels": f"1 1\n{big} 2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, where in [
+        (("bypass", "--graph", "n.edges", "--vertex", "1"), "line 1"),
+        (("bypass", "--graph", "top.edges", "--vertex", "1"), "line 2"),
+        (("bypass", "--graph", "top.csv", "--vertex", "1"), "row 3"),
+        (("dtcn", "detour", "--contacts", "c.csv", "--vertices", "1"), "row 3"),
+        (("pabstract", "--graph", "g.edges", "--labels", "g.labels", "--keep-colors", "1"), "line 2"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 1, (argv, proc.stderr[:300])
+        assert proc.stderr.startswith(f"pathabs: error: {where}: ") and f"{big}" in proc.stderr, proc.stderr[:300]
+        assert f"limit of {10**7}" in proc.stderr and len(proc.stderr) < 1000
+
+
 def test_an_oversized_csv_cell_exits_1(tmp_path, capsys):
     huge = "9" * 131_073
     contacts, graph = tmp_path / "c.csv", tmp_path / "x.csv"
