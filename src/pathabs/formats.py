@@ -5,7 +5,9 @@ its semiring's ``parse_value``; duplicate arcs are semiring-added, which is
 how multigraphs are written, and zero sums are dropped.  A loop, or an arc
 outside a declared vertex set, is a ``ParseError`` naming its line, row or
 arc.  With no declared set the vertices are 1..max over every endpoint
-named, zero-valued arcs included.
+named, zero-valued arcs included.  A range 1..n, declared by a count or
+implied by an id, holds at most ``VERTEX_RANGE_LIMIT`` vertices; a declared
+set of ids has no such limit.
 
 - Edge list: '#' starts a comment.  An optional first line is "n <count>"
   (declares 1..count) or "vertices <id...>" (declares that set, as after
@@ -25,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -37,6 +39,24 @@ from .temporal import DTCN, Contact, TemporalError
 
 class ParseError(ValueError):
     pass
+
+
+# The most vertices a range 1..n read from a file may hold: far above the
+# largest shapes the library runs (3·10⁵ vertices), and refused before a stray
+# id such as 10¹⁰ makes a reader build the range.
+VERTEX_RANGE_LIMIT = 10**7
+
+
+def _require_range(top: int, where: str) -> None:
+    if top > VERTEX_RANGE_LIMIT:
+        raise ParseError(f"{where}: the vertex range 1..{top} is over the limit of {VERTEX_RANGE_LIMIT} vertices")
+
+
+def _require_column_range(top: int, u: np.ndarray, v: np.ndarray, name_row, n: int | None) -> None:
+    """Refuse a range 1..top past the limit, naming the first row with an end past it, else ``n``."""
+    if top > VERTEX_RANGE_LIMIT:
+        past = (u > VERTEX_RANGE_LIMIT) | (v > VERTEX_RANGE_LIMIT)
+        _require_range(top, name_row(int(past.argmax())) if past.any() else f"n {n}")
 
 
 def _content_lines(text: str) -> list[tuple]:
@@ -84,7 +104,9 @@ def _assemble(
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
         _raise_arc_error(rows, semiring, unit, declared)
     if declared is None:
-        declared = frozenset(range(1, max(top, ends.max(initial=0)) + 1))
+        last = max(top, int(ends.max(initial=0)))
+        _require_column_range(last, u, v, lambda i: f"{unit} {rows[i][0]}", top)
+        declared = frozenset(range(1, last + 1))
     keys, values = list(zip(heads, tails)), list(map(value_of.__getitem__, tokens))
     arcs = dict(zip(keys, values))
     if len(arcs) < len(keys):  # semiring-add a repeated arc's values in file order
@@ -116,7 +138,9 @@ def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
     if rows:
         lineno, key, *tokens = rows[0]
         if key == "n" and len(tokens) == 1:
-            declared = frozenset(range(1, _vertex(tokens[0], "line", lineno, allow_zero=True) + 1))
+            count = _vertex(tokens[0], "line", lineno, allow_zero=True)
+            _require_range(count, f"line {lineno}")
+            declared = frozenset(range(1, count + 1))
         elif key == "vertices":
             declared = frozenset(_vertex(t, "line", lineno) for t in tokens)
         rows = rows[declared is not None :]
@@ -265,13 +289,16 @@ def parse_labels(text: str) -> Coloring:
             raise ParseError(f"line {lineno}: malformed color {tokens[1]!r}") from None
         if v in seen:
             raise ParseError(f"line {lineno}: duplicate label for vertex {v}")
+        _require_range(v, f"line {lineno}")
         seen[v] = color
     if not seen:
         raise ParseError("label file is empty")
     n = max(seen)
-    missing = [v for v in range(1, n + 1) if v not in seen]
-    if missing:
-        raise ParseError(f"vertices without labels: {missing}")
+    if len(seen) < n:  # the first five gaps between labelled vertices, and the count
+        order = sorted(seen)
+        first = list(islice(chain.from_iterable(map(range, [1] + [v + 1 for v in order], order)), 5))
+        more = f" and {n - len(seen) - len(first)} more" if n - len(seen) > len(first) else ""
+        raise ParseError(f"vertices without labels: {first}{more}")
     return Coloring([seen[v] for v in range(1, n + 1)])
 
 
@@ -305,9 +332,12 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
         time = np.array(list(map(float, cells[2])), dtype=np.float64)
     except (ValueError, OverflowError):
         _raise_row_error(lines, *cells)
-    d = DTCN._of(frozenset(range(1, max(src.max(), dst.max(), n or 0) + 1)), src, dst, time)
-    valid = min(src.min(), dst.min()) >= 1 and np.isfinite(time).all() and not (src == dst).any()
-    if not valid or len(d.src) < len(lines):
+    if min(src.min(), dst.min()) < 1 or not np.isfinite(time).all() or (src == dst).any():
+        _raise_row_error(lines, *cells)
+    top = max(int(src.max()), int(dst.max()), n or 0)
+    _require_column_range(top, src, dst, lambda i: f"row {lines[i]}", n)
+    d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
+    if len(d.src) < len(lines):  # a repeated contact
         _raise_row_error(lines, *cells)
     return d
 
