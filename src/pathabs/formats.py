@@ -41,22 +41,14 @@ class ParseError(ValueError):
     pass
 
 
-# The most vertices a range 1..n read from a file may hold: far above the
-# largest shapes the library runs (3·10⁵ vertices), and refused before a stray
-# id such as 10¹⁰ makes a reader build the range.
+# The most vertices a range 1..n read from a file may hold: far above the largest shape
+# measured (3·10⁵ vertices), and checked before a stray id such as 10¹⁰ makes a reader build it.
 VERTEX_RANGE_LIMIT = 10**7
 
 
 def _require_range(top: int, where: str) -> None:
     if top > VERTEX_RANGE_LIMIT:
         raise ParseError(f"{where}: the vertex range 1..{top} is over the limit of {VERTEX_RANGE_LIMIT} vertices")
-
-
-def _require_column_range(top: int, u: np.ndarray, v: np.ndarray, name_row, n: int | None) -> None:
-    """Refuse a range 1..top past the limit, naming the first row with an end past it, else ``n``."""
-    if top > VERTEX_RANGE_LIMIT:
-        past = (u > VERTEX_RANGE_LIMIT) | (v > VERTEX_RANGE_LIMIT)
-        _require_range(top, name_row(int(past.argmax())) if past.any() else f"n {n}")
 
 
 def _content_lines(text: str) -> list[tuple]:
@@ -104,8 +96,9 @@ def _assemble(
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
         _raise_arc_error(rows, semiring, unit, declared)
     if declared is None:
-        last = max(top, int(ends.max(initial=0)))
-        _require_column_range(last, u, v, lambda i: f"{unit} {rows[i][0]}", top)
+        high = np.maximum(u, v)
+        last = max(top, int(high.max(initial=0)))
+        _require_range(last, f"n {top}" if top == last else f"{unit} {rows[int(high.argmax())][0]}")
         declared = frozenset(range(1, last + 1))
     keys, values = list(zip(heads, tails)), list(map(value_of.__getitem__, tokens))
     arcs = dict(zip(keys, values))
@@ -294,10 +287,9 @@ def parse_labels(text: str) -> Coloring:
     if not seen:
         raise ParseError("label file is empty")
     n = max(seen)
-    if len(seen) < n:  # the first five gaps between labelled vertices, and the count
-        order = sorted(seen)
-        first = list(islice(chain.from_iterable(map(range, [1] + [v + 1 for v in order], order)), 5))
-        more = f" and {n - len(seen) - len(first)} more" if n - len(seen) > len(first) else ""
+    if len(seen) < n:  # the first five, found within len(seen) + 5 steps, and the count
+        first = list(islice((v for v in range(1, n + 1) if v not in seen), 5))
+        more = f" and {n - len(seen) - 5} more" if n - len(seen) > 5 else ""
         raise ParseError(f"vertices without labels: {first}{more}")
     return Coloring([seen[v] for v in range(1, n + 1)])
 
@@ -334,8 +326,9 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
         _raise_row_error(lines, *cells)
     if min(src.min(), dst.min()) < 1 or not np.isfinite(time).all() or (src == dst).any():
         _raise_row_error(lines, *cells)
-    top = max(int(src.max()), int(dst.max()), n or 0)
-    _require_column_range(top, src, dst, lambda i: f"row {lines[i]}", n)
+    high = np.maximum(src, dst)
+    top = max(int(high.max()), n or 0)
+    _require_range(top, f"n {n}" if top == n else f"row {lines[int(high.argmax())]}")
     d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
     if len(d.src) < len(lines):  # a repeated contact
         _raise_row_error(lines, *cells)

@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import re
 
 import pytest
 
@@ -81,45 +82,29 @@ def test_parse_labels_errors():
         parse_labels("")
 
 
-def test_missing_labels_are_named_by_the_first_few_and_a_count():
-    with pytest.raises(ParseError, match=r"^vertices without labels: \[2\]$"):
-        parse_labels("1 1\n3 2\n")
-    with pytest.raises(ParseError) as info:
-        parse_labels("1000000 1\n")
-    assert str(info.value) == "vertices without labels: [1, 2, 3, 4, 5] and 999994 more"
-    with pytest.raises(ParseError) as info:
-        parse_labels("1 1\n3 1\n4 1\n8 1\n9 1\n20 1\n")
-    assert str(info.value) == "vertices without labels: [2, 5, 6, 7, 10] and 9 more"
+def test_missing_labels_are_named_by_the_first_five_and_a_count():
+    for text, named in [("1 1\n3 2\n", "[2]"), ("1000000 1\n", "[1, 2, 3, 4, 5] and 999994 more"),
+                        ("1 1\n3 1\n4 1\n8 1\n9 1\n20 1\n", "[2, 5, 6, 7, 10] and 9 more")]:
+        with pytest.raises(ParseError, match=f"^vertices without labels: {re.escape(named)}$"):
+            parse_labels(text)
 
 
 def test_vertex_ranges_are_refused_past_the_limit(monkeypatch):
-    import pathabs.formats as formats
-
-    monkeypatch.setattr(formats, "VERTEX_RANGE_LIMIT", 4)
-    over = "the vertex range 1..5 is over the limit of 4 vertices"
-    for read, text, where in [
-        (parse_digraph, "n 5\n", "line 1"),
-        (parse_digraph, "1 2\n# a comment\n\n1 5\n", "line 4"),
-        (parse_digraph_csv, "from,to,value\n1,2,1\n5,1,1\n", "row 3"),
-        (parse_contacts, "source,target,time\n1,2,0.5\n\n5,2,0.5\n", "row 4"),
-        (parse_labels, "1 1\n5 1\n", "line 2"),
+    monkeypatch.setattr("pathabs.formats.VERTEX_RANGE_LIMIT", 4)
+    for read, where in [
+        (lambda: parse_digraph("1 2\n# a comment\n\n1 5\n"), "line 4"),
+        (lambda: parse_digraph_csv("from,to,value\n1,2,1\n", n=5), "n 5"),
+        (lambda: parse_contacts("source,target,time\n1,2,0.5\n\n5,2,0.5\n"), "row 4"),
+        (lambda: parse_contacts("source,target,time\n1,2,0.5\n", n=5), "n 5"),
     ]:
-        with pytest.raises(ParseError) as info:
-            read(text)
-        assert str(info.value) == f"{where}: {over}"
-    with pytest.raises(ParseError, match=f"^n 5: {over}$"):
-        parse_digraph_csv("from,to,value\n1,2,1\n", n=5)
-    with pytest.raises(ParseError, match=f"^n 5: {over}$"):
-        parse_contacts("source,target,time\n1,2,0.5\n", n=5)
-    # the limit itself is read, and a declared vertex set is not a range
-    assert parse_digraph("n 4\n").n == 4 and parse_digraph("1 4\n").n == 4
-    assert parse_digraph("vertices 1 9\n1 9\n").arcs == {(1, 9): 1}
-    assert parse_digraph_csv("from,to,value\n1,,\n9,,\n1,9,1\n").vertices == {1, 9}
-    assert parse_contacts("source,target,time\n4,1,0.5\n").n == 4
+        with pytest.raises(ParseError, match=f"^{where}: the vertex range 1..5 is over the limit of 4 vertices$"):
+            read()
+    # an earlier bad row still wins; the limit itself is read, and a declared vertex set is not a range
+    with pytest.raises(ParseError, match="^row 2: vertex ids are positive, got 0$"):
+        parse_contacts("source,target,time\n0,1,0.5\n1,5,0.5\n")
+    assert parse_digraph("n 4\n").n == parse_digraph("1 4\n").n == parse_contacts("source,target,time\n4,1,0\n").n == 4
+    assert parse_digraph("vertices 1 9\n1 9\n").n == parse_digraph_csv("from,to,value\n1,,\n9,,\n1,9,1\n").n == 2
     assert parse_labels("4 1\n3 1\n2 1\n1 2\n").n == 4
-    # an earlier bad row still wins over a later range
-    with pytest.raises(ParseError, match="^line 1: malformed vertex id 'x'$"):
-        parse_digraph("x 1\n1 5\n")
 
 
 def test_parse_partition():
