@@ -7,7 +7,6 @@ from .digraph import (
     DigraphError,
     NeighborClassification,
     PathEnumeration,
-    VertexBlock,
     classify_vertex,
     contract_blocks,
     count_walks_dag,
@@ -67,7 +66,6 @@ from .weighted import (
     detours_commute,
     double_detour,
     weighted_contract_commutes,
-    weighted_detour,
 )
 
 __version__ = "0.1.0"

@@ -26,27 +26,6 @@ class CyclicGraphError(DigraphError):
     pass
 
 
-def _freeze_members(members: Iterable[int]) -> frozenset[int]:
-    ms = frozenset(int(m) for m in members)
-    if not ms:
-        raise DigraphError("a vertex block must be nonempty")
-    return ms
-
-
-@dataclass(frozen=True)
-class VertexBlock:
-    """A set of vertices to be merged; its id is the smallest member."""
-
-    members: frozenset[int]
-
-    def __init__(self, members: Iterable[int]):
-        object.__setattr__(self, "members", _freeze_members(members))
-
-    @property
-    def id(self) -> int:
-        return min(self.members)
-
-
 @dataclass(frozen=True)
 class NeighborClassification:
     """Partition of the other vertices by arc incidence with a fixed vertex.
@@ -187,7 +166,7 @@ def delete_vertices(d: Digraph, drop: Iterable[int]) -> Digraph:
     return induced_subgraph(d, d.vertices - frozenset(drop))
 
 
-def contract_blocks(d: Digraph, blocks: Sequence[VertexBlock | Iterable[int]]) -> Digraph:
+def contract_blocks(d: Digraph, blocks: Sequence[Iterable[int]]) -> Digraph:
     """Merge each block into one vertex named by its smallest member.
 
     Arc values into/out of a block are semiring sums over members;
@@ -197,7 +176,9 @@ def contract_blocks(d: Digraph, blocks: Sequence[VertexBlock | Iterable[int]]) -
     """
     norm: list[frozenset[int]] = []
     for b in blocks:
-        members = b.members if isinstance(b, VertexBlock) else _freeze_members(b)
+        members = frozenset(int(m) for m in b)
+        if not members:
+            raise DigraphError("a vertex block must be nonempty")
         extra = members - d.vertices
         if extra:
             raise DigraphError(f"block member(s) {sorted(extra)} out of range")

@@ -1,10 +1,11 @@
 """Detours, bypasses, path projection, and path abstraction.
 
-The detour at v deletes every arc touching v and inserts an arc from each
-predecessor of v to each distinct successor, leaving v isolated; the bypass
-additionally deletes v.  Paths between surviving vertices are preserved, and
-the projection that deletes bypassed vertices from path words lands exactly on
-the paths of the bypassed digraph.
+The detour at v deletes every arc touching v and adds the product through v
+to the arc from each predecessor of v to each distinct successor, leaving v
+isolated; on the boolean semiring that inserts the arc.  The bypass also
+deletes v.  Paths between surviving vertices are preserved, and the projection
+that deletes bypassed vertices from path words lands exactly on the paths of
+the bypassed digraph.
 
 A path abstraction bypasses everything outside a partial partition's support
 and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
@@ -24,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# perfbench/layers.py times classify_vertex, contract_blocks and delete_vertices by swapping these names.
 from .digraph import (
     Digraph,
     DigraphError,
@@ -38,20 +40,20 @@ from .partitions import PartialPartition, PartitionError
 
 
 def detour(d: Digraph, v: int) -> Digraph:
-    """Rewire around v: predecessors connect straight to successors.
+    """Rewire around v on any semiring: each predecessor x and successor y != x get
+    mu(x, y) + mu(x, v)·mu(v, y), and a zero sum drops the arc.
 
-    v stays in the digraph as an isolated vertex.  Idempotent.
+    v stays in the digraph as an isolated vertex.  Idempotent, and equal to
+    ``detour_set(d, {v})``; on the boolean semiring every linked arc is one.
     """
-    d.require_boolean()
-    d.require_vertex(v)
-    nc = classify_vertex(d, v)
-    arcs = {key: val for key, val in d.arcs.items() if key[0] != v and key[1] != v}
-    one = d.semiring.one
+    nc, s = classify_vertex(d, v), d.semiring
+    linked = {}
     for x in nc.predecessors:
-        for y in nc.successors:
-            if x != y:
-                arcs[(x, y)] = one
-    return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
+        for y in nc.successors - {x}:
+            through = s.mul(d.arcs[x, v], d.arcs[v, y])
+            linked[x, y] = s.normalize(s.add(d.arcs[x, y], through) if (x, y) in d.arcs else through)
+    arcs = {key: val for key, val in {**d.arcs, **linked}.items() if v not in key and val is not None}
+    return Digraph(d.vertices, arcs, s, dict(d.merged))
 
 
 def bypass(d: Digraph, v: int) -> Digraph:
@@ -130,8 +132,8 @@ def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     Boolean: folding ``detour`` in any order, in the time of ``abstraction_pairs``
     with a block per survivor.  Otherwise an arc sums the arc-value products of the
     walks through the set, in O(n + m) plus the sum over the set of |pred(v)|·|succ(v)|
-    at v's turn; that is ``weighted.weighted_detour`` folded in any order unless a cycle
-    of the set lies on a route between distinct survivors.  A walk sum with no value
+    at v's turn; that is ``detour`` folded in any order unless a cycle of the set
+    lies on a route between distinct survivors.  A walk sum with no value
     (a cycle on such a route on counting, a singular pivot on the reals) raises ``DigraphError``."""
     _, arcs = _bypass_arcs(d, vertices)
     return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))

@@ -84,10 +84,6 @@ class PartialPartition:
     def support(self) -> frozenset[int]:
         return frozenset().union(*self.blocks)
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def is_full(self) -> bool:
         return len(self.support) == self.n
 

@@ -1,12 +1,11 @@
-"""Semiring-weighted detours and their commutation.
+"""When semiring-weighted detours commute, with each other and with contraction.
 
-The weighted detour clears the row and column of the detoured vertex and adds
-the product through it to every other entry; on the boolean semiring this is
-arc-for-arc the plain detour.  Weighted detours need not commute: the exact
-criterion (cancellative carriers) is a 2-cycle between the two vertices plus an
-asymmetric through-product, and a witness entry is returned when it fires.
-``weighted_detour`` is the per-vertex reference for ``pabstract.detour_set``
-where no dropped cycle lies on a route between distinct survivors.
+``pabstract.detour`` clears the row and column of the detoured vertex and adds
+the product through it to every other entry.  Two such detours need not
+commute: the exact criterion (cancellative carriers) is a 2-cycle between the
+two vertices plus an asymmetric through-product, and a witness entry is
+returned when it fires.  A detour and the contraction of two other vertices
+always commute.
 
 A multigraph here is simply a counting-semiring digraph whose arc values are
 multiplicities.
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import Digraph, DigraphError, contract_blocks
+from .pabstract import detour
 
 
 def _mul(s, a, b):
@@ -36,31 +36,11 @@ def _add(s, a, b):
     return s.add(a, b)
 
 
-def weighted_detour(d: Digraph, v: int) -> Digraph:
-    """Clear v's row and column; add the product through v everywhere else."""
-    d.require_vertex(v)
-    s = d.semiring
-    arcs = {k: val for k, val in d.arcs.items() if k[0] != v and k[1] != v}
-    into = {x: val for (x, y), val in d.arcs.items() if y == v}
-    outof = {y: val for (x, y), val in d.arcs.items() if x == v}
-    for x, a in into.items():
-        for y, b in outof.items():
-            if x == y:
-                continue
-            total = _add(s, arcs.get((x, y)), _mul(s, a, b))
-            total = s.normalize(total)
-            if total is None:
-                arcs.pop((x, y), None)
-            else:
-                arcs[(x, y)] = total
-    return Digraph(d.vertices, arcs, s, dict(d.merged))
-
-
 def double_detour(d: Digraph, v: int, w: int) -> Digraph:
     """Detour at v, then at w."""
     if v == w:
         raise DigraphError("double detour needs two distinct vertices")
-    return weighted_detour(weighted_detour(d, v), w)
+    return detour(detour(d, v), w)
 
 
 def double_detour_entry(d: Digraph, v: int, w: int, x: int, y: int):
@@ -125,6 +105,6 @@ def weighted_contract_commutes(d: Digraph, u: int, v: int, w: int) -> bool:
     """Detour at u and contraction of {v, w} commute; always true."""
     if len({u, v, w}) != 3:
         raise DigraphError("needs three distinct vertices")
-    left = contract_blocks(weighted_detour(d, u), [{v, w}])
-    right = weighted_detour(contract_blocks(d, [{v, w}]), u)
+    left = contract_blocks(detour(d, u), [{v, w}])
+    right = detour(contract_blocks(d, [{v, w}]), u)
     return left == right

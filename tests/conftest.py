@@ -1,15 +1,21 @@
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from pathabs import COUNTING, Digraph, induced_subgraph, strongly_connected_components
+from pathabs import COUNTING, Digraph, detour, induced_subgraph, strongly_connected_components
 from pathabs.checks import _random_dag as random_dag  # noqa: F401
 from pathabs.checks import _random_digraph as random_digraph
 
 
 def random_multigraph(rng: random.Random, n: int, p: float) -> Digraph:
     return random_digraph(rng, n, p, COUNTING)
+
+
+def detour_fold(d, order):
+    """``detour`` at each vertex of ``order`` in turn."""
+    return reduce(detour, order, d)
 
 
 def route_sums(d, dropped):

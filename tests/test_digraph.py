@@ -5,7 +5,6 @@ from pathabs import (
     COUNTING,
     Digraph,
     DigraphError,
-    VertexBlock,
     classify_vertex,
     contract_blocks,
     count_walks_dag,
@@ -70,11 +69,6 @@ def test_contract_rejects_overlap_and_range():
         contract_blocks(d, [{1, 2}, {2, 3}])
     with pytest.raises(DigraphError):
         contract_blocks(d, [{4, 5}])
-
-
-def test_contract_accepts_vertex_block():
-    d = Digraph.build(3, [(1, 2), (2, 3)])
-    assert contract_blocks(d, [VertexBlock({1, 3})]) == contract_blocks(d, [{1, 3}])
 
 
 def test_contract_order_independent(rng):

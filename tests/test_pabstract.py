@@ -33,7 +33,7 @@ from pathabs.checks import _close_arcs, _or_refusal
 from pathabs.partitions import discrete_partition
 from pathabs.semirings import REGISTRY
 
-from conftest import cycles_between_survivors, random_dag, random_digraph, route_sums, schur_complement
+from conftest import cycles_between_survivors, detour_fold, random_dag, random_digraph, route_sums, schur_complement
 from conftest import survivors_around as _survivors_around
 
 FIG_LOCAL = Digraph.build(7, [(1, 4), (2, 4), (4, 6), (4, 7), (3, 4), (5, 4), (4, 3), (4, 5)])
@@ -66,12 +66,9 @@ def test_detour_idempotent(rng):
         assert detour(once, v) == once
 
 
-def test_detour_needs_boolean():
-    from pathabs import COUNTING
-
-    d = Digraph.build(3, {(1, 2): 2}, COUNTING)
-    with pytest.raises(DigraphError):
-        detour(d, 2)
+def test_detour_adds_the_product_through_the_vertex():
+    d = Digraph.build(3, {(1, 2): 2, (2, 3): 3, (1, 3): 1}, REGISTRY["counting"])
+    assert detour(d, 2).arcs == {(1, 3): 7}
 
 
 def test_bypass_local_figure():
@@ -338,12 +335,6 @@ def test_vertex_out_of_range_errors():
         naive_bypass(d, {9})
 
 
-def _fold(d, vertices):
-    for v in vertices:
-        d = detour(d, v)
-    return d
-
-
 def _typed(arcs):
     return {key: (type(value), value) for key, value in arcs.items()}
 
@@ -381,8 +372,8 @@ def _set_bypass_corpus(rng):
 def test_set_bypass_matches_the_per_vertex_fold(rng):
     for d, drops in _set_bypass_corpus(rng):
         for drop in drops:
-            ascending = _fold(d, sorted(drop))
-            descending = _fold(d, sorted(drop, reverse=True))
+            ascending = detour_fold(d, sorted(drop))
+            descending = detour_fold(d, sorted(drop, reverse=True))
             assert ascending == descending
             assert detour_set(d, drop) == ascending
             assert bypass_set(d, drop) == delete_vertices(ascending, drop)
@@ -414,13 +405,24 @@ def test_set_bypass_keeps_values_the_fold_keeps(rng):
         cases.append((Digraph(d.vertices, arcs, d.semiring, dict(d.merged)), drops))
     for d, drops in cases:
         for drop in drops:
-            assert _typed(detour_set(d, drop).arcs) == _typed(_fold(d, drop).arcs)
-            expected = delete_vertices(_fold(d, drop), drop)
+            assert _typed(detour_set(d, drop).arcs) == _typed(detour_fold(d, drop).arcs)
+            expected = delete_vertices(detour_fold(d, drop), drop)
             assert _typed(bypass_set(d, drop).arcs) == _typed(expected.arcs)
 
 
+def test_detour_is_the_one_vertex_set_detour(rng):
+    # every semiring, with merged blocks and id gaps; each arc value's type must match too
+    for s, case in [(s, case) for s in REGISTRY.values() for case in range(60)]:
+        n = rng.randint(2, 9)
+        d = random_digraph(rng, n, rng.choice((0.2, 0.4, 0.7)), s)
+        d = contract_blocks(d, [rng.sample(range(1, n + 1), 2)]) if case % 2 else d
+        d = delete_vertices(d, rng.sample(sorted(d.vertices), rng.randint(0, d.n - 1)))
+        for v, one, whole in [(v, detour(d, v), detour_set(d, {v})) for v in d.vertices]:
+            assert one == whole and _typed(one.arcs) == _typed(whole.arcs), (s.name, v, d)
+
+
 def test_set_bypass_errors_and_empty_set():
-    from pathabs import COUNTING, weighted_detour
+    from pathabs import COUNTING
 
     d = Digraph.build(3, [(1, 2), (2, 3)])
     weighted = Digraph.build(3, {(1, 2): 2, (2, 3): 3}, COUNTING)
@@ -432,9 +434,9 @@ def test_set_bypass_errors_and_empty_set():
         assert op(weighted, []) == weighted
         c = contract_blocks(d, [{1, 3}])
         assert op(c, ()) == c
-    # any other semiring folds by the weighted detour
-    assert detour_set(weighted, {2}) == weighted_detour(weighted, 2)
-    assert bypass_set(weighted, {2}) == delete_vertices(weighted_detour(weighted, 2), {2})
+    # any other semiring: the one-vertex set detour is the detour
+    assert detour_set(weighted, {2}) == detour(weighted, 2)
+    assert bypass_set(weighted, {2}) == delete_vertices(detour(weighted, 2), {2})
 
 
 

@@ -16,23 +16,22 @@ from pathabs import (
     is_acyclic,
     strongly_connected_components,
     weighted_contract_commutes,
-    weighted_detour,
 )
 from pathabs.checks import _close_arcs
 from pathabs.semirings import REGISTRY
 from pathabs.weighted import double_detour_entry
 
-from conftest import cycles_between_survivors, random_dag, random_digraph, random_multigraph, route_sums, schur_complement
+from conftest import cycles_between_survivors, detour_fold, random_dag, random_digraph, random_multigraph, route_sums, schur_complement
 
 # counting-semiring multigraph: 1->2, 1->4, a double arc 3->1, 4->1
 MULTI = Digraph.build(4, {(1, 2): 1, (1, 4): 1, (3, 1): 2, (4, 1): 1}, COUNTING)
 
 
 def test_single_detours():
-    assert weighted_detour(MULTI, 1).arcs == {(3, 2): 2, (3, 4): 2, (4, 2): 1}
-    assert weighted_detour(MULTI, 4).arcs == {(1, 2): 1, (3, 1): 2}
+    assert detour(MULTI, 1).arcs == {(3, 2): 2, (3, 4): 2, (4, 2): 1}
+    assert detour(MULTI, 4).arcs == {(1, 2): 1, (3, 1): 2}
     isolated = Digraph.build(3, {(1, 2): 5}, COUNTING)
-    assert weighted_detour(isolated, 3) == isolated
+    assert detour(isolated, 3) == isolated
 
 
 def test_double_detour_orders_differ():
@@ -125,21 +124,16 @@ def test_detour_adds_no_two_cycles_without_short_cycles(rng):
         if _has_three_cycle_through(d, v):
             continue
         checked += 1
-        assert not _has_two_cycle(weighted_detour(d, v))
+        assert not _has_two_cycle(detour(d, v))
     assert checked > 50
 
 
-def test_boolean_specialization(rng):
-    for _ in range(200):
-        n = rng.randint(2, 8)
-        d = random_digraph(rng, n, 0.4)
-        v = rng.randint(1, n)
-        assert weighted_detour(d, v) == detour(d, v)
+def test_boolean_specialization():
     # a hand-built boolean arc may hold any nonzero value; its sum or product with one is one
     chain = Digraph(frozenset({1, 2, 3}), {(1, 2): 2, (2, 3): 1})
     triangle = Digraph(frozenset({1, 2, 3}), {(1, 2): 1, (2, 3): 1, (1, 3): 2})
     for d in (chain, triangle):
-        assert weighted_detour(d, 2) == detour(d, 2)
+        assert detour(d, 2).arcs == {(1, 3): 1}
     assert double_detour_entry(Digraph(frozenset({1, 2, 3, 4}), chain.arcs), 2, 4, 1, 3) == 1
 
 
@@ -160,11 +154,11 @@ def test_minplus_detour_relaxes_paths():
     from pathabs import MINPLUS_NONNEG
 
     d = Digraph.build(3, {(1, 2): 1.5, (2, 3): 2.0, (1, 3): 5.0}, MINPLUS_NONNEG)
-    out = weighted_detour(d, 2)
+    out = detour(d, 2)
     assert out.arcs == {(1, 3): 3.5}
     # zero-weight arcs are genuine carrier values here, not absence
     zero = Digraph.build(3, {(1, 2): 0.0, (2, 3): 0.0}, MINPLUS_NONNEG)
-    assert weighted_detour(zero, 2).arcs == {(1, 3): 0.0}
+    assert detour(zero, 2).arcs == {(1, 3): 0.0}
     assert detours_commute(d, 1, 3).commute
 
 
@@ -193,20 +187,14 @@ ORDER_DEPENDENT = Digraph.build(
 )
 
 
-def _weighted_fold(d, order):
-    for v in order:
-        d = weighted_detour(d, v)
-    return d
-
-
 def test_detour_set_refuses_an_order_dependent_fold():
-    folds = {_weighted_fold(ORDER_DEPENDENT, order).value(4, 5) for order in permutations((1, 2, 3))}
+    folds = {detour_fold(ORDER_DEPENDENT, order).value(4, 5) for order in permutations((1, 2, 3))}
     assert folds == {20, 15}
     with pytest.raises(DigraphError, match=re.escape("{1, 3}")):
         detour_set(ORDER_DEPENDENT, {1, 2, 3})
     # the cycle {3, 4} is entered and left only through the dropped 2 and 5
     d = Digraph.build(6, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 3): 1, (3, 5): 1, (5, 6): 1}, COUNTING)
-    assert {_weighted_fold(d, order).value(1, 6) for order in permutations((2, 3, 4, 5))} == {1, 2}
+    assert {detour_fold(d, order).value(1, 6) for order in permutations((2, 3, 4, 5))} == {1, 2}
     with pytest.raises(DigraphError, match=re.escape("{3, 4}")):
         detour_set(d, {2, 3, 4, 5})
 
@@ -269,10 +257,10 @@ def test_detour_set_matches_every_order_and_the_route_sums(rng):
                 assert sums is None or _close_arcs(out.arcs, sums), cond
                 continue
             exact = {key: (type(value), repr(value)) for key, value in out.arcs.items()}
-            ascending = _weighted_fold(d, sorted(dropped))
+            ascending = detour_fold(d, sorted(dropped))
             assert exact == {key: (type(value), repr(value)) for key, value in ascending.arcs.items()}
             for order in permutations(dropped):
-                assert _weighted_fold(d, order) == out
+                assert detour_fold(d, order) == out
             sums = route_sums(d, dropped)
             kept = {key: s.normalize(value) for key, value in sums.items()}
             cancelled += sum(value is None for value in kept.values())
