@@ -217,6 +217,7 @@ def _cmd_rand_stats(args):
 
 
 def _cmd_rand_mc(args):
+    formats.require_range(args.n, "--n")  # before a sampler or a partition of 1..n is built
     if args.partition:
         pi = formats.parse_partition(_read(args.partition), n=args.n)
     else:
@@ -245,6 +246,7 @@ def _cmd_rand_renorm(args):
 
 
 def _cmd_rand_scc(args):
+    formats.require_range(args.n, "--n")  # before a sampler or a partition of 1..n is built
     lines = [f"predicted_fraction {randdg.giant_scc_fraction(args.c)!r}"]
     if args.trials:
         emp = randdg.largest_scc_fraction_mc(args.n, args.c, args.trials, _seed(args))
@@ -292,6 +294,7 @@ def _cmd_dtcn_abstract(args):
 
 
 def _cmd_dtcn_sample(args):
+    formats.require_range(args.n, "--n")  # before a sampler or a partition of 1..n is built
     out = temporal.sample_dtcn(args.n, args.p, args.mode, _seed(args), args.max_retries)
     _emit(formats.serialize_contacts(out), args)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,8 +52,15 @@ class NeighborClassification:
 
 @dataclass(frozen=True)
 class Digraph:
-    """A frozen digraph value, but unhashable: ``arcs`` and ``merged`` are plain
-    dicts, and no caller needs a digraph as a set member or dict key."""
+    """A frozen digraph value, but unhashable: ``merged`` is a plain dict, and no
+    caller needs a digraph as a set member or dict key.
+
+    The arcs have two forms, each built from the other on first read: ``arcs``, a
+    dict from (tail, head) to value, and the read-only columns ``src`` and ``dst``
+    (int64, ordered by (src, dst), no repeats) with the aligned ``values`` (an
+    object array, no zero values).  The constructor takes the dict and checks it;
+    the readers and boolean ``path_abstract`` build the columns through ``_of``.
+    """
 
     vertices: frozenset[int]
     arcs: Mapping[tuple[int, int], object]
@@ -69,13 +77,30 @@ class Digraph:
             if is_zero is not None and is_zero(value):
                 raise DigraphError(f"arc ({x}, {y}) stores the no-arc value {value!r}")
 
+    def __getattr__(self, name):
+        """The arc form not yet built, built once from the other: runs only for a
+        name the instance does not hold."""
+        held = vars(self)
+        if name == "arcs" and "src" in held:
+            own = {v: v for v in self.vertices}  # the keys share the vertex set's int objects
+            keys = zip(map(own.__getitem__, held["src"].tolist()), map(own.__getitem__, held["dst"].tolist()))
+            held["arcs"] = dict(zip(keys, held["values"].tolist()))
+        elif name in ("src", "dst", "values") and "arcs" in held:
+            held.update(zip(("src", "dst", "values"), _columns(held["arcs"])))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return held[name]
+
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _of(cls, vertices, arcs, semiring, merged) -> "Digraph":
-        """A digraph from arcs valid by construction: ``__post_init__`` is skipped."""
+    def _of(cls, vertices, src, dst, values, semiring, merged) -> "Digraph":
+        """A digraph from arc columns valid by construction, ordered by (src, dst) with no
+        repeats, no loops, no zero values and no end outside ``vertices``: nothing is checked."""
         d = cls.__new__(cls)
-        vars(d).update(vertices=vertices, arcs=arcs, semiring=semiring, merged=merged)
+        for column in (src, dst, values):
+            column.flags.writeable = False
+        vars(d).update(vertices=vertices, src=src, dst=dst, values=values, semiring=semiring, merged=merged)
         return d
 
     @staticmethod
@@ -136,6 +161,26 @@ class Digraph:
     def require_boolean(self) -> None:
         if self.semiring.name != "boolean":
             raise DigraphError(f"operation needs the boolean semiring, got {self.semiring.name}")
+
+
+def _one_to_n(vertices: frozenset[int]) -> bool:
+    """Whether the vertex ids are 1..n: n distinct ints from 1 to n are exactly those."""
+    return not vertices or min(vertices) == 1 and max(vertices) == len(vertices)
+
+
+def _columns(arcs: Mapping[tuple[int, int], object]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``src``, ``dst`` and ``values`` of an arc dict, ordered by (src, dst), read-only."""
+    try:
+        ends = np.fromiter(chain.from_iterable(arcs), dtype=np.int64, count=2 * len(arcs))
+    except OverflowError:
+        big = max(chain.from_iterable(arcs), key=abs)
+        raise DigraphError(f"vertex ids must fit in int64 here, got {big}") from None
+    values = np.fromiter(arcs.values(), dtype=object, count=len(arcs))
+    order = np.lexsort((ends[1::2], ends[0::2]))
+    columns = ends[0::2][order], ends[1::2][order], values[order]
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def add_arc_value(acc: dict, key: tuple[int, int], value, semiring: SemiringSpec) -> None:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain, islice
+from functools import reduce
+from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .digraph import Digraph, _normalized
+from .digraph import Digraph, _one_to_n
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, Contact, TemporalError
@@ -41,12 +42,13 @@ class ParseError(ValueError):
     pass
 
 
-# The most vertices a range 1..n read from a file may hold: far above the largest shape
-# measured (3·10⁵ vertices), and checked before a stray id such as 10¹⁰ makes a reader build it.
+# The most vertices a range 1..n read from a file, or sampled by the random commands, may hold:
+# far above the largest shape measured (3·10⁵ vertices), and checked before a stray id or
+# count such as 10¹⁰ makes a reader or a sampler build it.
 VERTEX_RANGE_LIMIT = 10**7
 
 
-def _require_range(top: int, where: str) -> None:
+def require_range(top: int, where: str) -> None:
     if top > VERTEX_RANGE_LIMIT:
         raise ParseError(f"{where}: the vertex range 1..{top} is over the limit of {VERTEX_RANGE_LIMIT} vertices")
 
@@ -70,78 +72,115 @@ def _vertex(token: str, unit: str, index, allow_zero: bool = False) -> int:
 
 
 def _assemble(
-    rows, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None
+    index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None
 ) -> Digraph:
-    """The one route from arc rows to a ``Digraph``.
+    """The one route from arc columns of tokens to a ``Digraph``, which gets them checked.
 
-    ``rows`` holds ``(index, u, v[, value])`` tokens, where a missing or None
-    value means the semiring's one; errors name the row as "<unit> <index>".
-    With no ``declared`` vertex set the vertices are 1..max over ``top`` and
-    every endpoint named.  Columns are checked whole, with one ``int`` per
-    vertex token and one ``parse_value`` per distinct value token; on a
-    failure the rows are read again one by one to name the first bad one.
+    Arc i runs from token ``us[i]`` to ``vs[i]`` with value token ``tokens[i]``,
+    where None, or ``tokens`` None, means the semiring's one; errors name it as
+    "<unit> <index[i]>".  With no ``declared`` vertex set the vertices are
+    1..max over ``top`` and every endpoint named.  Columns are checked whole,
+    with one ``int`` per vertex token and one ``parse_value`` per distinct value
+    token; on a failure the arcs are read again one by one to name the first bad one.
     """
-    if len(set(map(len, rows))) > 1:
-        rows = [(*row, None)[:4] for row in rows]
-    _, us, vs, *tokens = zip(*rows) if rows else ((),) * 3
-    tokens = tokens[0] if tokens else (None,) * len(us)
+    rows = (index, us, vs, tokens)
     try:
-        heads, tails = list(map(int, us)), list(map(int, vs))
-        u, v = np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
-        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in set(tokens)}
+        # an object array casts each token through int(), so Python's number rules hold
+        u, v = (np.asarray(col, dtype=object).astype(np.int64) for col in (us, vs))
+        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in ({None} if tokens is None else set(tokens))}
     except (ValueError, OverflowError):
-        _raise_arc_error(rows, semiring, unit, declared)
+        _raise_arc_error(*rows, semiring, unit, declared)
     ends = np.concatenate([u, v])
-    outside = declared is not None and not (declared.issuperset(heads) and declared.issuperset(tails))
+    outside = declared is not None and not (
+        _one_to_n(declared) and ends.max(initial=0) <= len(declared) or declared.issuperset(ends.tolist())
+    )
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
-        _raise_arc_error(rows, semiring, unit, declared)
+        _raise_arc_error(*rows, semiring, unit, declared)
     if declared is None:
         high = np.maximum(u, v)
         last = max(top, int(high.max(initial=0)))
-        _require_range(last, f"n {top}" if top == last else f"{unit} {rows[int(high.argmax())][0]}")
+        require_range(last, f"n {top}" if top == last else f"{unit} {index[int(high.argmax())]}")
         declared = frozenset(range(1, last + 1))
-    keys, values = list(zip(heads, tails)), list(map(value_of.__getitem__, tokens))
-    arcs = dict(zip(keys, values))
-    if len(arcs) < len(keys):  # semiring-add a repeated arc's values in file order
-        arcs = {}
-        for key, value in zip(keys, values):
-            arcs[key] = semiring.add(arcs[key], value) if key in arcs else value
-    if len(arcs) < len(keys) or semiring.is_zero and any(map(semiring.is_zero, value_of.values())):
-        arcs = _normalized(arcs, semiring)
+    order, fresh = _arc_order(u, v)
+    u, v = u[order], v[order]
+    if tokens is None:
+        values = np.full(len(u), semiring.one, dtype=object)
+    else:
+        values = np.fromiter(map(value_of.__getitem__, tokens), dtype=object, count=len(tokens))[order]
+    if not fresh.all():  # semiring-add each repeated arc's values, in file order
+        starts = np.flatnonzero(fresh).tolist()
+        values = np.fromiter(
+            (reduce(semiring.add, values[a:b]) for a, b in zip(starts, starts[1:] + [len(values)])),
+            dtype=object,
+            count=len(starts),
+        )
+        u, v = u[fresh], v[fresh]
+    if semiring.is_zero and (not fresh.all() or any(map(semiring.is_zero, value_of.values()))):
+        nonzero = ~np.fromiter(map(semiring.is_zero, values), dtype=bool, count=len(values))
+        u, v, values = u[nonzero], v[nonzero], values[nonzero]
     # valid by construction: the masks above refused loops and arcs leaving the vertex set
-    return Digraph._of(declared, arcs, semiring, merged or {})
+    return Digraph._of(declared, u, v, values, semiring, merged or {})
 
 
-def _raise_arc_error(rows, semiring: SemiringSpec, unit: str, declared) -> None:
-    """Raise the first bad row's error: its ids, then a loop, then the vertex set, then the value."""
-    for index, a, b, token in ((*row, None)[:4] for row in rows):
-        u, v = _vertex(a, unit, index), _vertex(b, unit, index)
+def _arc_order(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order of the arcs by (u, v), stable among repeats so that a repeated arc's values
+    stay in file order, and a mask of the first of each run of repeats in that order."""
+    if int(max(u.max(initial=0), v.max(initial=0))) < 2**31:  # one int64 key per arc
+        key = u << 31 | v
+        order = np.argsort(key)
+        fresh = np.diff(key[order], prepend=-1) != 0
+        if not fresh.all():  # the default sort is not stable: sort again, stably
+            order = np.argsort(key, kind="stable")
+        return order, fresh
+    order = np.lexsort((v, u))
+    fresh = np.ones(len(u), dtype=bool)
+    fresh[1:] = (u[order][1:] != u[order][:-1]) | (v[order][1:] != v[order][:-1])
+    return order, fresh
+
+
+def _raise_arc_error(index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared) -> None:
+    """Raise the first bad arc's error: its ids, then a loop, then the vertex set, then the value."""
+    for i, a, b, token in zip(index, us, vs, repeat(None) if tokens is None else tokens):
+        u, v = _vertex(a, unit, i), _vertex(b, unit, i)
         if u == v:
-            raise ParseError(f"{unit} {index}: self-loop at {u} (digraphs are loopless)")
+            raise ParseError(f"{unit} {i}: self-loop at {u} (digraphs are loopless)")
         if declared is not None and (u not in declared or v not in declared):
-            raise ParseError(f"{unit} {index}: arc ({u}, {v}) outside the declared vertex set")
+            raise ParseError(f"{unit} {i}: arc ({u}, {v}) outside the declared vertex set")
         try:
             token is None or semiring.parse_value(token)
         except ValueError as exc:
-            raise ParseError(f"{unit} {index}: bad value {token!r}: {exc}") from None
+            raise ParseError(f"{unit} {i}: bad value {token!r}: {exc}") from None
 
 
 def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
-    rows, declared = _content_lines(text), None
-    if rows:
-        lineno, key, *tokens = rows[0]
+    """An edge list.  Its lines are split twice, once to count each line's tokens and
+    once into one flat token list, so that no container per line stays alive."""
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()] if "#" in text else text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    lineno = np.flatnonzero(counts) + 1  # the content lines
+    counts = counts[lineno - 1]
+    cells = np.array(" ".join(lines).split(), dtype=object)
+    declared = None
+    if len(lineno):
+        key, *tokens = cells[: counts[0]].tolist()
         if key == "n" and len(tokens) == 1:
-            count = _vertex(tokens[0], "line", lineno, allow_zero=True)
-            _require_range(count, f"line {lineno}")
+            count = _vertex(tokens[0], "line", lineno[0], allow_zero=True)
+            require_range(count, f"line {lineno[0]}")
             declared = frozenset(range(1, count + 1))
         elif key == "vertices":
-            declared = frozenset(_vertex(t, "line", lineno) for t in tokens)
-        rows = rows[declared is not None :]
-    if not set(map(len, rows)) <= {3, 4}:  # "u v" and "u v weight" lines
-        bad = next(row[0] for row in rows if len(row) not in (3, 4))
-        _raise_arc_error([row for row in rows if row[0] < bad], semiring, "line", declared)  # earlier first
-        raise ParseError(f"line {bad}: expected 'u v' or 'u v weight'")
-    return _assemble(rows, semiring, "line", declared)
+            declared = frozenset(_vertex(t, "line", lineno[0]) for t in tokens)
+        if declared is not None:
+            lineno, cells, counts = lineno[1:], cells[counts[0] :], counts[1:]
+    starts = np.cumsum(counts) - counts
+    columns = lineno.tolist(), cells[starts], cells[np.minimum(starts + 1, len(cells) - 1)]
+    weighted = counts == 3
+    tokens = np.where(weighted, cells[np.minimum(starts + 2, len(cells) - 1)], None) if weighted.any() else None
+    bad = (counts < 2) | (counts > 3)  # "u v" and "u v weight" lines
+    if bad.any():
+        first = int(np.argmax(bad))
+        _raise_arc_error(*(c[:first] for c in columns), tokens, semiring, "line", declared)  # earlier first
+        raise ParseError(f"line {lineno[first]}: expected 'u v' or 'u v weight'")
+    return _assemble(*columns, tokens, semiring, "line", declared)
 
 
 def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
@@ -151,10 +190,11 @@ def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None
     used.  Otherwise the vertices are 1..max over the endpoints named and
     ``n``, as in files written before vertex rows existed.
     """
-    rows = list(zip(*_csv_columns(text, "from,to,value")))
-    listed = frozenset(_vertex(u, "row", i) for i, u, v, w in rows if not (v.strip() or w.strip()))
-    arcs = [row for row in rows if row[2].strip() or row[3].strip()]
-    return _assemble(arcs, semiring, "row", listed or None, n or 0)
+    lines, us, vs, ws = _csv_columns(text, "from,to,value")
+    arc = [bool(v.strip() or w.strip()) for v, w in zip(vs, ws)]
+    listed = frozenset(_vertex(u, "row", i) for i, u, a in zip(lines, us, arc) if not a)
+    columns = (list(compress(column, arc)) for column in (lines, us, vs, ws))
+    return _assemble(*columns, semiring, "row", listed or None, n or 0)
 
 
 def parse_digraph_json(text: str) -> Digraph:
@@ -186,7 +226,7 @@ def parse_digraph_json(text: str) -> Digraph:
         if len(members & vertices) > 1 or any(members & m for m in merged.values()):
             raise ParseError(f"block {key}: {sorted(members)} meets another block or vertex")
         merged[rep] = members
-    return _assemble(rows, semiring, "arc", vertices, merged=merged)
+    return _assemble(*(zip(*rows) if rows else ((),) * 4), semiring, "arc", vertices, merged=merged)
 
 
 def _csv_columns(text: str, header: str) -> tuple[list[int], list[str], list[str], list[str]]:
@@ -234,11 +274,25 @@ def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
     head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
-    keys = sorted(d.arcs)
     if d.semiring.name == "boolean":
-        return head + "%s %s\n" * len(keys) % tuple(chain.from_iterable(keys))
+        return head + _arc_lines(order, dense, d.src, d.dst)
     value = d.semiring.format_value
-    return head + "".join([f"{x} {y} {value(d.arcs[(x, y)])}\n" for x, y in keys])
+    rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
+    return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
+
+
+def _arc_lines(order: list[int], dense: bool, src: np.ndarray, dst: np.ndarray) -> str:
+    """Lines "x y" of boolean arcs.  With no more vertices than arcs, each vertex id is
+    formatted once, as a tail "x " and as a head "y\\n", and the arcs index those strings."""
+    if not 0 < len(order) <= len(src) or not (-(2**63) <= order[0] and order[-1] < 2**63):
+        return "%s %s\n" * len(src) % tuple(np.column_stack((src, dst)).ravel().tolist())
+    ids = np.array(order, dtype=np.int64)
+    tails = np.array([f"{v} " for v in order], dtype=object)
+    heads = np.array([f"{v}\n" for v in order], dtype=object)
+    cells = np.empty(2 * len(src), dtype=object)
+    cells[0::2] = tails[src - 1 if dense else np.searchsorted(ids, src)]
+    cells[1::2] = heads[dst - 1 if dense else np.searchsorted(ids, dst)]
+    return "".join(cells.tolist())
 
 
 def _to_json(d: Digraph) -> str:
@@ -246,7 +300,10 @@ def _to_json(d: Digraph) -> str:
         "n": len(d.vertices),
         "vertices": sorted(d.vertices),
         "semiring": d.semiring.name,
-        "arcs": [{"from": x, "to": y, "value": d.arcs[(x, y)]} for (x, y) in sorted(d.arcs)],
+        "arcs": [
+            {"from": x, "to": y, "value": w}
+            for x, y, w in zip(d.src.tolist(), d.dst.tolist(), d.values.tolist())
+        ],
         "blocks": {str(v): sorted(m) for v, m in sorted(d.merged.items())},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -262,10 +319,11 @@ def _to_csv(d: Digraph) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["from", "to", "value"])
     order = sorted(d.vertices)
-    top = max((max(x, y) for (x, y) in d.arcs), default=0)
+    top = int(max(d.src.max(initial=0), d.dst.max(initial=0)))
     if order != list(range(1, top + 1)):
         writer.writerows([v, "", ""] for v in order)
-    writer.writerows([x, y, d.semiring.format_value(d.arcs[(x, y)])] for (x, y) in sorted(d.arcs))
+    value = d.semiring.format_value
+    writer.writerows(zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist())))
     return out.getvalue()
 
 
@@ -282,7 +340,7 @@ def parse_labels(text: str) -> Coloring:
             raise ParseError(f"line {lineno}: malformed color {tokens[1]!r}") from None
         if v in seen:
             raise ParseError(f"line {lineno}: duplicate label for vertex {v}")
-        _require_range(v, f"line {lineno}")
+        require_range(v, f"line {lineno}")
         seen[v] = color
     if not seen:
         raise ParseError("label file is empty")
@@ -328,7 +386,7 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
         _raise_row_error(lines, *cells)
     high = np.maximum(src, dst)
     top = max(int(high.max()), n or 0)
-    _require_range(top, f"n {n}" if top == n else f"row {lines[int(high.argmax())]}")
+    require_range(top, f"n {n}" if top == n else f"row {lines[int(high.argmax())]}")
     d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
     if len(d.src) < len(lines):  # a repeated contact
         _raise_row_error(lines, *cells)

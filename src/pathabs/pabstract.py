@@ -29,6 +29,7 @@ import numpy as np
 from .digraph import (
     Digraph,
     DigraphError,
+    _one_to_n,
     classify_vertex,
     contract_blocks,
     delete_vertices,
@@ -73,7 +74,7 @@ def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
         return vs, _fold_detours(d, vs)
     # An object array hands out d's own int objects: the new keys share them.
     kept = np.array(sorted(d.vertices.difference(vs)), dtype=object)
-    src, dst, block_of = _block_map(d, kept, np.arange(len(kept)))
+    src, dst, block_of = _block_map(d, kept, np.arange(len(kept)), d.arcs)
     touch = (block_of[src] < 0) | (block_of[dst] < 0)
     arcs = dict(compress(d.arcs.items(), (~touch).tolist()))
     j, k = np.divmod(abstraction_pairs(src[touch], dst[touch], block_of, len(kept)), len(kept))
@@ -243,18 +244,32 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     return ids[np.diff(ids, prepend=-1) != 0]
 
 
-def _block_map(d: Digraph, members: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Arc tails and heads as indices into d's ascending vertex ids, which may have gaps,
-    and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest."""
-    try:
-        ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=d.n)
-    except OverflowError:
-        raise DigraphError(f"vertex ids must fit in int64 here, got {max(d.vertices, key=abs)}") from None
-    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs))
-    ends = np.searchsorted(ids, ends)
-    block_of = np.full(d.n, -1, dtype=np.int64)
-    block_of[np.searchsorted(ids, members)] = blocks
-    return ends[0::2], ends[1::2], block_of
+def _block_map(d: Digraph, members, blocks: np.ndarray, arcs=None) -> tuple[np.ndarray, ...]:
+    """Arc tails and heads as indices into d's ascending vertex ids, and each index's block:
+    ``blocks[i]`` for vertex ``members[i]``, -1 for the rest.  The arcs are d's columns, or
+    the ``(tail, head)`` pairs of ``arcs`` in their order.  On ids 1..n the index is id - 1;
+    ids with gaps are sorted and searched."""
+    n = d.n
+    if _one_to_n(d.vertices):
+        ids = None
+    else:
+        try:
+            ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=n)
+        except OverflowError:
+            raise DigraphError(f"vertex ids must fit in int64 here, got {max(d.vertices, key=abs)}") from None
+    if arcs is None:
+        src, dst = d.src, d.dst
+    else:
+        ends = np.fromiter(chain.from_iterable(arcs), dtype=np.int64, count=2 * len(arcs))
+        src, dst = ends[0::2], ends[1::2]
+    members = np.asarray(members, dtype=np.int64)
+    if ids is None:
+        src, dst, members = src - 1, dst - 1, members - 1
+    else:
+        src, dst, members = np.searchsorted(ids, src), np.searchsorted(ids, dst), np.searchsorted(ids, members)
+    block_of = np.full(n, -1, dtype=np.int64)
+    block_of[members] = blocks
+    return src, dst, block_of
 
 
 def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
@@ -267,9 +282,9 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     it is the second, whose fill-in is smaller: an arc sums the products along
     the walks from block to block through bypassed vertices, or is their least
     sum on min-plus.  A boolean input takes one ``abstraction_pairs`` call on
-    the arcs, renumbered 0..n-1, and every arc carries the semiring's one; only
-    a hand-built arc holding another nonzero value, such as 2, reads 1 here
-    where the two-step route may keep it.
+    d's arc columns, renumbered 0..n-1, and the result gets the pairs as its
+    columns, each arc the semiring's one; only a hand-built arc holding another
+    nonzero value, such as 2, reads 1 here where the two-step route may keep it.
     """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
@@ -280,9 +295,10 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
     src, dst, block_of = _block_map(d, members, np.repeat(np.arange(m), [len(b) for b in p.blocks]))
     reps = [min(block) for block in p.blocks]
     j, k = np.divmod(abstraction_pairs(src, dst, block_of, m), m)
-    rep = np.array(reps, dtype=object)  # the keys share the blocks' own int objects
-    arcs = dict.fromkeys(zip(rep[j], rep[k]), d.semiring.one)
+    rep = np.array(reps, dtype=np.int64)
     blocks = p.blocks if not d.merged else [frozenset().union(*map(d.members_of, b)) for b in p.blocks]
     merged = {r: ms for r, ms in zip(reps, blocks) if ms != {r}}  # singletons are identity merges
-    # valid by construction: pairs join distinct blocks, named by their representatives
-    return Digraph._of(frozenset(reps), arcs, d.semiring, merged)
+    # valid by construction: pairs join distinct blocks, named by their representatives, and
+    # ascending ids j*m + k are ascending (rep j, rep k), since blocks sort by their minimum
+    values = np.full(len(j), d.semiring.one, dtype=object)
+    return Digraph._of(frozenset(reps), rep[j], rep[k], values, d.semiring, merged)

@@ -421,6 +421,26 @@ def test_readers_refuse_a_vertex_range_they_cannot_hold(tmp_path):
         assert (proc.returncode, proc.stderr) == (1, expected), (argv, proc.stderr[:300])
 
 
+def test_random_commands_refuse_a_vertex_count_past_the_range_limit(tmp_path):
+    # the readers' limit holds for --n too, checked before a sampler or a partition of 1..n is built;
+    # under a 1 GiB address-space cap building either would fail with a MemoryError
+    src, big = str(Path(__file__).resolve().parents[1] / "src"), 10**10
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              f"sys.path.insert(0, {src!r}); from pathabs.cli import main; sys.exit(main(sys.argv[1:]))")
+    (tmp_path / "p.txt").write_text("1\n2\n")
+    for argv in [
+        f"rand mc --n {big} --p 1e-12 --trials 1 --drop 0",
+        f"rand mc --n {big} --p 1e-12 --trials 1 --partition p.txt",
+        f"rand scc --n {big} --c 2 --trials 1",
+        f"rand scc --n {big} --c 2",
+        f"dtcn sample --n {big} --p 1e-12",
+    ]:
+        proc = subprocess.run([sys.executable, "-c", capped, *argv.split()],
+                              capture_output=True, text=True, cwd=tmp_path, timeout=120)
+        expected = f"pathabs: error: --n: the vertex range 1..{big} is over the limit of 10000000 vertices\n"
+        assert (proc.returncode, proc.stderr) == (1, expected), (argv, proc.stderr[:300])
+
+
 def test_an_oversized_csv_cell_exits_1(tmp_path, capsys):
     huge = "9" * 131_073
     contacts, graph = tmp_path / "c.csv", tmp_path / "x.csv"

@@ -139,3 +139,14 @@ def test_reader_columns_in_any_line_order():
         n = header[1] if header[0] == "n" else None
         for got in (parse_digraph(edges, s), parse_digraph_csv(csv, s, n=n), parse_digraph_json(payload)):
             assert got == expected and got.arcs == expected.arcs
+
+
+def test_the_boolean_route_builds_no_arc_dict():
+    # parse_digraph -> path_abstract -> serialize_digraph passes arc columns along; the dict
+    # of either digraph is built only when something reads it
+    d = parse_digraph("n 7\n6 2\n1 2\n2 3\n3 4\n4 1\n5 6\n3 5\n7 1\n")
+    got = path_abstract(d, PartialPartition(7, [{1, 3}, {4}, {6, 7}]))
+    assert serialize_digraph(got) == "vertices 1 4 6\n1 4\n1 6\n4 1\n6 1\n"
+    assert "arcs" not in vars(d) and "arcs" not in vars(got)
+    assert got.arcs == {(1, 4): 1, (1, 6): 1, (4, 1): 1, (6, 1): 1}
+    assert d.arcs == dict.fromkeys([(1, 2), (2, 3), (3, 4), (3, 5), (4, 1), (5, 6), (6, 2), (7, 1)], 1)
