@@ -87,7 +87,8 @@ def _assemble(
     try:
         # an object array casts each token through int(), so Python's number rules hold
         u, v = (np.asarray(col, dtype=object).astype(np.int64) for col in (us, vs))
-        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in ({None} if tokens is None else set(tokens))}
+        distinct = {None} if tokens is None else set(tokens)
+        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in distinct}
     except (ValueError, OverflowError):
         _raise_arc_error(*rows, semiring, unit, declared)
     ends = np.concatenate([u, v])
@@ -133,9 +134,8 @@ def _arc_order(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             order = np.argsort(key, kind="stable")
         return order, fresh
     order = np.lexsort((v, u))
-    fresh = np.ones(len(u), dtype=bool)
-    fresh[1:] = (u[order][1:] != u[order][:-1]) | (v[order][1:] != v[order][:-1])
-    return order, fresh
+    su, sv = u[order], v[order]
+    return order, np.concatenate(([True], (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])))[: len(u)]
 
 
 def _raise_arc_error(index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared) -> None:
