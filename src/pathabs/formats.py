@@ -32,7 +32,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .digraph import Digraph, _one_to_n
+from .digraph import Digraph
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, Contact, TemporalError
@@ -92,9 +92,7 @@ def _assemble(
     except (ValueError, OverflowError):
         _raise_arc_error(*rows, semiring, unit, declared)
     ends = np.concatenate([u, v])
-    outside = declared is not None and not (
-        _one_to_n(declared) and ends.max(initial=0) <= len(declared) or declared.issuperset(ends.tolist())
-    )
+    outside = declared is not None and not declared.issuperset(ends.tolist())
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
         _raise_arc_error(*rows, semiring, unit, declared)
     if declared is None:
@@ -102,8 +100,10 @@ def _assemble(
         last = max(top, int(high.max(initial=0)))
         require_range(last, f"n {top}" if top == last else f"{unit} {index[int(high.argmax())]}")
         declared = frozenset(range(1, last + 1))
-    order, fresh = _arc_order(u, v)
+    order = np.lexsort((v, u))  # stable: a repeated arc's values stay in file order
     u, v = u[order], v[order]
+    fresh = np.ones(len(u), dtype=bool)  # the first arc of each run of repeats
+    fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     if tokens is None:
         values = np.full(len(u), semiring.one, dtype=object)
     else:
@@ -121,21 +121,6 @@ def _assemble(
         u, v, values = u[nonzero], v[nonzero], values[nonzero]
     # valid by construction: the masks above refused loops and arcs leaving the vertex set
     return Digraph._of(declared, u, v, values, semiring, merged or {})
-
-
-def _arc_order(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order of the arcs by (u, v), stable among repeats so that a repeated arc's values
-    stay in file order, and a mask of the first of each run of repeats in that order."""
-    if int(max(u.max(initial=0), v.max(initial=0))) < 2**31:  # one int64 key per arc
-        key = u << 31 | v
-        order = np.argsort(key)
-        fresh = np.diff(key[order], prepend=-1) != 0
-        if not fresh.all():  # the default sort is not stable: sort again, stably
-            order = np.argsort(key, kind="stable")
-        return order, fresh
-    order = np.lexsort((v, u))
-    su, sv = u[order], v[order]
-    return order, np.concatenate(([True], (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])))[: len(u)]
 
 
 def _raise_arc_error(index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared) -> None:
@@ -275,24 +260,10 @@ def _to_edgelist(d: Digraph) -> str:
     dense = order == list(range(1, len(order) + 1))
     head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
     if d.semiring.name == "boolean":
-        return head + _arc_lines(order, dense, d.src, d.dst)
+        return head + "%s %s\n" * len(d.src) % tuple(np.column_stack((d.src, d.dst)).ravel().tolist())
     value = d.semiring.format_value
     rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
     return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
-
-
-def _arc_lines(order: list[int], dense: bool, src: np.ndarray, dst: np.ndarray) -> str:
-    """Lines "x y" of boolean arcs.  With no more vertices than arcs, each vertex id is
-    formatted once, as a tail "x " and as a head "y\\n", and the arcs index those strings."""
-    if not 0 < len(order) <= len(src) or not (-(2**63) <= order[0] and order[-1] < 2**63):
-        return "%s %s\n" * len(src) % tuple(np.column_stack((src, dst)).ravel().tolist())
-    ids = np.array(order, dtype=np.int64)
-    tails = np.array([f"{v} " for v in order], dtype=object)
-    heads = np.array([f"{v}\n" for v in order], dtype=object)
-    cells = np.empty(2 * len(src), dtype=object)
-    cells[0::2] = tails[src - 1 if dense else np.searchsorted(ids, src)]
-    cells[1::2] = heads[dst - 1 if dense else np.searchsorted(ids, dst)]
-    return "".join(cells.tolist())
 
 
 def _to_json(d: Digraph) -> str:
