@@ -163,11 +163,6 @@ class Digraph:
             raise DigraphError(f"operation needs the boolean semiring, got {self.semiring.name}")
 
 
-def _one_to_n(vertices: frozenset[int]) -> bool:
-    """Whether the vertex ids are 1..n: n distinct ints from 1 to n are exactly those."""
-    return not vertices or min(vertices) == 1 and max(vertices) == len(vertices)
-
-
 def _columns(arcs: Mapping[tuple[int, int], object]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``src``, ``dst`` and ``values`` of an arc dict, ordered by (src, dst), read-only."""
     try:

@@ -1,6 +1,8 @@
 """Text formats: digraphs as edge lists, CSV or JSON; labelings, partitions, contact CSV.
 
-The three digraph readers share one assembly.  Every arc value goes through
+The three digraph readers share one assembly, which hands the ``Digraph`` its
+arcs as sorted columns, and the writers format from the columns, so a digraph
+read and written again never builds its arc dict.  Every arc value goes through
 its semiring's ``parse_value``; duplicate arcs are semiring-added, which is
 how multigraphs are written, and zero sums are dropped.  A loop, or an arc
 outside a declared vertex set, is a ``ParseError`` naming its line, row or

@@ -29,7 +29,6 @@ import numpy as np
 from .digraph import (
     Digraph,
     DigraphError,
-    _one_to_n,
     classify_vertex,
     contract_blocks,
     delete_vertices,
@@ -250,7 +249,7 @@ def _block_map(d: Digraph, members, blocks: np.ndarray, arcs=None) -> tuple[np.n
     the ``(tail, head)`` pairs of ``arcs`` in their order.  On ids 1..n the index is id - 1;
     ids with gaps are sorted and searched."""
     n = d.n
-    if _one_to_n(d.vertices):
+    if not n or min(d.vertices) == 1 and max(d.vertices) == n:  # n distinct ints from 1 to n are 1..n
         ids = None
     else:
         try:

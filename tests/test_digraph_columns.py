@@ -150,3 +150,15 @@ def test_the_boolean_route_builds_no_arc_dict():
     assert "arcs" not in vars(d) and "arcs" not in vars(got)
     assert got.arcs == {(1, 4): 1, (1, 6): 1, (4, 1): 1, (6, 1): 1}
     assert d.arcs == dict.fromkeys([(1, 2), (2, 3), (3, 4), (3, 5), (4, 1), (5, 6), (6, 2), (7, 1)], 1)
+
+
+def test_a_hand_built_digraph_gets_its_columns_on_first_read():
+    d = Digraph(frozenset({1, 2, 5}), {(5, 1): 2, (1, 5): 1, (1, 2): 3}, REGISTRY["counting"])
+    assert "src" not in vars(d)
+    assert (d.src.tolist(), d.dst.tolist(), d.values.tolist()) == ([1, 1, 5], [2, 5, 1], [3, 1, 2])
+    assert not (d.src.flags.writeable or d.dst.flags.writeable or d.values.flags.writeable)
+    assert serialize_digraph(d) == "vertices 1 2 5\n1 2 3\n1 5 1\n5 1 2\n"
+    # columns are int64, as the readers' ids are: a larger hand-built id cannot be written
+    big = Digraph(frozenset({1, 2**64}), {(1, 2**64): 1})
+    with pytest.raises(DigraphError, match=f"^vertex ids must fit in int64 here, got {2**64}$"):
+        serialize_digraph(big)
