@@ -96,12 +96,17 @@ def _texts(s, header, rows, vertices):
     return edges, csv, payload
 
 
+def _read_back(s, header, rows, vertices):
+    """The digraph read from each of its three texts."""
+    edges, csv, payload = _texts(s, header, rows, vertices)
+    n = header[1] if header is not None and header[0] == "n" else None
+    return parse_digraph(edges, s), parse_digraph_csv(csv, s, n=n), parse_digraph_json(payload)
+
+
 @pytest.mark.parametrize("s, header, rows", _cases())
 def test_readers_build_what_the_validating_constructor_builds(s, header, rows):
     expected = _reference(s, header, rows)
-    edges, csv, payload = _texts(s, header, rows, expected.vertices)
-    n = header[1] if header is not None and header[0] == "n" else None
-    for got in (parse_digraph(edges, s), parse_digraph_csv(csv, s, n=n), parse_digraph_json(payload)):
+    for got in _read_back(s, header, rows, expected.vertices):
         assert got == expected
         assert repr(got) == repr(expected)
         assert got.arcs == expected.arcs and list(got.arcs.items()) == list(expected.arcs.items())
@@ -109,7 +114,7 @@ def test_readers_build_what_the_validating_constructor_builds(s, header, rows):
 
 @pytest.mark.parametrize("s, header, rows", _cases())
 def test_path_abstract_writes_what_bypass_then_contract_writes(s, header, rows):
-    d = parse_digraph(_texts(s, header, rows, _reference(s, header, rows).vertices)[0], s)
+    d = _read_back(s, header, rows, _reference(s, header, rows).vertices)[0]
     ids = sorted(d.vertices)
     kept = ids[::2]
     blocks = [set(kept[i : i + 2]) for i in range(0, len(kept), 2)]
@@ -135,9 +140,7 @@ def test_reader_columns_in_any_line_order():
         header, rows = _random_shape(rng, *_TOKENS[name])
         rng.shuffle(rows)
         expected = _reference(s, header, rows)
-        edges, csv, payload = _texts(s, header, rows, expected.vertices)
-        n = header[1] if header[0] == "n" else None
-        for got in (parse_digraph(edges, s), parse_digraph_csv(csv, s, n=n), parse_digraph_json(payload)):
+        for got in _read_back(s, header, rows, expected.vertices):
             assert got == expected and got.arcs == expected.arcs
 
 
