@@ -442,6 +442,37 @@ def test_contact_tokens_follow_python_number_rules():
     assert d.triples() == [(1, 2, 0.5), (10, 2, 10.5)] and d.n == 10
 
 
+@pytest.mark.parametrize(
+    "cell, value",
+    [
+        ("1_0", 10),
+        (" 3 ", 3),
+        ("+3", 3),
+        ("٣", 3),  # ARABIC-INDIC DIGIT THREE
+        ("3.0", "malformed vertex id '3.0'"),
+        ("99999999999999999999", f"{_TOO_BIG} 99999999999999999999"),
+    ],
+)
+def test_contact_id_cells_read_as_python_int_reads_them(cell, value):
+    # the same id cell as a source on the first row and as a target on the second
+    for text, row, triples in [
+        (f"{_CONTACT_HEADER}{cell},1,0.5\n", 2, [(value, 1, 0.5)]),
+        (f"{_CONTACT_HEADER}2,1,0.5\n1,{cell},0.25\n", 3, [(1, value, 0.25), (2, 1, 0.5)]),
+    ]:
+        if isinstance(value, int):
+            d = parse_contacts(text)
+            assert d.triples() == triples and d.n == value
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_contacts(text)
+            assert str(info.value) == f"row {row}: {value}"
+
+
+def test_contact_time_cells_read_as_python_float_reads_them():
+    d = parse_contacts(_CONTACT_HEADER + "1,2,1_0.5\n")
+    assert d.triples() == [(1, 2, 10.5)] and d.n == 2
+
+
 def _arcs_json(arcs, vertices=(1, 2, 3), semiring="boolean") -> str:
     keys = ("from", "to", "value")
     rows = ", ".join("{" + ", ".join(f'"{k}": {t}' for k, t in zip(keys, arc)) + "}" for arc in arcs)

@@ -2,6 +2,7 @@ import gc
 import math
 import platform
 
+import numpy as np
 import pytest
 
 from pathabs import Digraph, PartialPartition, bypass_set
@@ -134,6 +135,43 @@ def test_detour_walks_an_equal_time_cycle():
     d = DTCN.build(5, [(1, 4, 0.5), *cycle, (3, 2, 0.5), (5, 2, 1.0), (4, 2, 0.25)])
     assert dtcn_detour(d, {3, 4, 5}).triples() == [(1, 2, 0.5), (1, 2, 1.0)]
     assert layered_detour_oracle(d, {3, 4, 5}) == {(1, 2, 0.5), (1, 2, 1.0)}
+
+
+def test_detour_follows_an_equal_time_chain_met_against_its_direction():
+    # rows of one instant sort by (source, target), so 3 -> 4 comes before 4 -> 5
+    # and 4 -> 5 before 5 -> 2: each inner hop is met before the hop it leads to
+    chain = [(1, 3, 0.5), (3, 4, 0.5), (4, 5, 0.5), (5, 2, 0.5)]
+    d = DTCN.build(5, chain)
+    assert dtcn_detour(d, {3, 4, 5}).triples() == [(1, 2, 0.5)]
+    assert layered_detour_oracle(d, {3, 4, 5}) == {(1, 2, 0.5)}
+    # the same chain with the ids reversed is met along its direction
+    rev = DTCN.build(5, [(1, 5, 0.5), (5, 4, 0.5), (4, 3, 0.5), (3, 2, 0.5)])
+    assert dtcn_detour(rev, {3, 4, 5}).triples() == [(1, 2, 0.5)]
+    assert layered_detour_oracle(rev, {3, 4, 5}) == {(1, 2, 0.5)}
+
+
+def test_detour_closes_a_three_cycle_entered_and_left_at_its_instant():
+    # entering 3 reaches the exit from 5 through 3 -> 4 -> 5; the cycle's rows
+    # come as 3 -> 4, 4 -> 5, 5 -> 3, so one pass in row order would miss it.
+    # 6 enters 5 and goes round to 4 and back to 6, a loop with nothing to emit;
+    # 5's exit at 0.25 comes before every entry
+    cycle = [(3, 4, 0.5), (4, 5, 0.5), (5, 3, 0.5)]
+    d = DTCN.build(6, [(1, 3, 0.5), *cycle, (5, 2, 0.5), (4, 6, 0.5), (5, 6, 0.25), (6, 5, 0.5)])
+    want = [(1, 2, 0.5), (1, 6, 0.5), (6, 2, 0.5)]
+    assert dtcn_detour(d, {3, 4, 5}).triples() == want
+    assert layered_detour_oracle(d, {3, 4, 5}) == set(want)
+
+
+def test_detour_matches_layered_oracle_on_poisson_networks_on_a_time_grid():
+    # about 140 contacts on 60 vertices with times 0, 0.5 and 1: many equal-time runs
+    grid = np.array([0.0, 0.5, 1.0])
+    for seed in range(50):
+        base = sample_dtcn(60, 0.04, "poisson", seed=900 + seed)
+        rng = trial_rng(901, seed)
+        times = grid[rng.integers(0, 3, size=len(base.src))]
+        d = DTCN._of(base.vertices, base.src, base.dst, times)
+        drop = set((rng.permutation(60)[:30] + 1).tolist())
+        assert _triples(dtcn_detour(d, drop)) == layered_detour_oracle(d, drop), seed
 
 
 def test_detour_matches_layered_oracle_on_a_three_time_grid():
