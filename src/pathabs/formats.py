@@ -351,8 +351,9 @@ def parse_contacts(text: str, n: int | None = None) -> DTCN:
     if not lines:
         raise ParseError("contact file holds no contacts")
     try:
-        src, dst = (np.array(list(map(int, col)), dtype=np.int64) for col in cells[:2])
-        time = np.array(list(map(float, cells[2])), dtype=np.float64)
+        # numpy reads each string cell with Python's int and float
+        src, dst = (np.array(col, dtype=np.int64) for col in cells[:2])
+        time = np.array(cells[2], dtype=np.float64)
     except (ValueError, OverflowError):
         _raise_row_error(lines, *cells)
     if min(src.min(), dst.min()) < 1 or not np.isfinite(time).all() or (src == dst).any():

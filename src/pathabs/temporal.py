@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,55 +161,86 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     strictly later, or takes an inner contact, which keeps the time; so t2 >= t1,
     every cycle lies within one instant, and descending time orders the rest.
 
-    One sweep over the contacts from the latest time to the earliest keeps
-    ``reach[u]``, the exits reachable from u's layer at the current time or
-    later, as positions in the sweep.  At each instant, exits first join their
-    source's reach; then the inner contacts of that instant are closed by a
-    small search, each source taking the union of reach over the dropped
-    vertices it reaches; last, entries emit their exits into flat lists, which
-    are read back as contacts.  The columns returned may repeat a contact.
+    One flat loop over the swept contacts, ordered by one ``lexsort`` on
+    (descending time, kind) with exits before inner contacts before entries,
+    keeps ``reach[u]``, the exits reachable from u's layer at the current time
+    or later, as a set of positions in the sweep.  Within an instant, exits
+    join their source's reach; a lone inner contact (s, t) is one in-place
+    ``reach[s] |= reach[t]``; a run of two or more inner contacts at one
+    instant, found by comparing neighbouring times, is repeated to a fixed
+    point, since its rows may come against the direction of a chain or cycle;
+    and each entry adds its target's reach to a flat list of exits and records
+    their count, from which the heads and entry times are repeated.  The
+    columns returned may repeat a contact.
+
+    The sets stay Python sets: Python-int bitsets over sweep positions cut
+    ``dtcn-n400``'s sweep less (to 1.5 ms where the sets reach 1.1 ms), and on
+    a Poisson network of 40,184 contacts took 54 ms and 24.5 MB traced where
+    the sets take about 18 ms and 8.6 MB; see the README.
     """
-    kept = ~(np.isin(d.src, list(drop)) | np.isin(d.dst, list(drop)))
-    swept = np.flatnonzero(~kept)[np.argsort(-d.time[~kept])]
-    exit_to, exit_at = d.dst[swept], d.time[swept]
-    rows = zip(exit_at.tolist(), d.src[swept].tolist(), exit_to.tolist(), range(len(swept)))
-    heads, exits, entered = [], [], []
+    from_drop, to_drop = np.isin(np.stack((d.src, d.dst)), list(drop))
+    kept = ~(from_drop | to_drop)
+    swept = np.flatnonzero(~kept)
+    # kind 0 is an exit, 1 an inner contact, 2 an entry; int8 keys sort several times faster
+    kind = 1 + to_drop[swept].astype(np.int8) - from_drop[swept]
+    order = np.lexsort((kind, -d.time[swept]))
+    swept, kind = swept[order], kind[order]
+    src, dst, time = d.src[swept], d.dst[swept], d.time[swept]
+    # an inner contact tied with the next at its instant becomes kind 3, the last of such a run kind 4
+    inner = kind == 1
+    link = np.zeros(len(kind), dtype=bool)
+    link[:-1] = inner[1:] & inner[:-1] & (time[1:] == time[:-1])
+    kind[link] = 3
+    kind[1:][link[:-1] & ~link[1:]] = 4
     reach: dict[int, set[int]] = {}
-    for tau, instant in groupby(rows, key=lambda row: row[0]):
-        inner: dict[int, list[int]] = {}
-        entries = []
-        for _, s, t, k in instant:
-            if t not in drop:
-                reach.setdefault(s, set()).add(k)
-            elif s in drop:
-                inner.setdefault(s, []).append(t)
+    exits, counts, run = [], [], []
+    for k, (c, s, t) in enumerate(zip(kind.tolist(), src.tolist(), dst.tolist())):
+        if c == 0:
+            if s in reach:
+                reach[s].add(k)
             else:
-                entries.append((s, t))
-        for u in inner:
-            seen, stack = {u}, [u]
-            while stack:
-                for w in inner.get(stack.pop(), ()):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            # in place is exact: whatever w in seen reaches, u reaches too, so
-            # w's reach, before or after its own closure, lies in u's new one
-            seen.discard(u)
-            found = reach.setdefault(u, set())
-            for w in seen:
-                found.update(reach.get(w, ()))
-        for x, u in entries:
-            found = reach.get(u, ())
+                reach[s] = {k}
+        elif c == 1:
+            if t in reach:
+                if s in reach:
+                    reach[s] |= reach[t]
+                else:
+                    reach[s] = set(reach[t])
+        elif c == 2:
+            found = reach.get(t, ())
             exits += found
-            heads += [x] * len(found)
-            entered += [tau] * len(found)
+            counts.append(len(found))
+        else:
+            run.append((s, t))
+            if c == 4:
+                _close(reach, run)
+                run = []
     exits = np.array(exits, dtype=np.intp)
-    heads, to, at = np.array(heads, dtype=np.int64), exit_to[exits], exit_at[exits]
-    early = np.flatnonzero(at < np.array(entered))
+    entries = kind == 2
+    heads, entered = np.repeat(src[entries], counts), np.repeat(time[entries], counts)
+    to, at = dst[exits], time[exits]
+    early = np.flatnonzero(at < entered)
     if len(early):
         raise TemporalInvariantError(f"exit at {at[early[0]]} precedes its entry at {entered[early[0]]}")
     cross = to != heads
-    return [np.r_[c[kept], x[cross]] for c, x in zip((d.src, d.dst, d.time), (heads, to, at))]
+    return [np.concatenate((c[kept], x[cross])) for c, x in zip((d.src, d.dst, d.time), (heads, to, at))]
+
+
+def _close(reach: dict[int, set[int]], run: list[tuple[int, int]]) -> None:
+    """``reach[s] |= reach[t]`` over the inner contacts (s, t) of one instant to a fixed point.
+
+    Sets only grow, and each pass that grows one carries it at least one hop
+    further along the instant's inner contacts, so the passes end.
+    """
+    grew = True
+    while grew:
+        grew = False
+        for s, t in run:
+            if t in reach:
+                found = reach.setdefault(s, set())
+                size = len(found)
+                found |= reach[t]
+                grew |= len(found) != size
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
@@ -245,9 +275,8 @@ def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
 
 def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
     """Re-address contacts to block representatives; internal contacts drop."""
-    order = np.array(sorted(d.vertices), dtype=np.int64)
-    rep = order.copy()
     seen: set[int] = set()
+    members, mins = [], []
     for b in blocks:
         fs = frozenset(int(x) for x in b)
         if not fs:
@@ -257,7 +286,11 @@ def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
         if fs & seen:
             raise TemporalError("blocks must be pairwise disjoint")
         seen |= fs
-        rep[np.searchsorted(order, sorted(fs))] = min(fs)
+        members += fs
+        mins += [min(fs)] * len(fs)
+    order = np.array(sorted(d.vertices), dtype=np.int64)
+    rep = order.copy()
+    rep[np.searchsorted(order, members)] = mins
     src, dst = rep[np.searchsorted(order, d.src)], rep[np.searchsorted(order, d.dst)]
     cross = src != dst
     return DTCN._of(frozenset(rep.tolist()), src[cross], dst[cross], d.time[cross])

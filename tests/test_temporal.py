@@ -263,6 +263,23 @@ def test_sampling_memory_is_linear_in_contacts():
         assert peak < 1000 * len(d.contacts), (mode, peak, len(d.contacts))
 
 
+def test_detour_memory_stays_linear_in_contacts():
+    import random
+    import tracemalloc
+
+    d = sample_dtcn(10_000, 4e-4, "poisson", seed=7)
+    drop = random.Random(12).sample(sorted(d.vertices), 5_000)
+    tracemalloc.start()
+    try:
+        dtcn_detour(d, drop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 40,184 contacts: the sets of sweep positions peak near 8 MB; bitsets over
+    # the positions, or a dense row per dropped vertex, would take three times that
+    assert len(d.src) == 40_184 and peak < 16 * 2**20, peak
+
+
 def test_temporal_path_probability():
     assert temporal_path_probability(0.3, 1) == pytest.approx(0.3)
     assert temporal_path_probability(0.1, 2) == pytest.approx(0.005)
