@@ -271,6 +271,14 @@ def classify_vertex(d: Digraph, v: int) -> NeighborClassification:
 # win (BENCH_scc.json).
 _SCC_CROSSOVER = 1024
 
+# A breadth-first level of ``_reach`` costs about 12 µs of numpy calls, as
+# much as scanning several hundred arcs, and Tarjan spends about 0.4 µs on
+# each vertex and arc.  With each level charged as 1,024 arcs against a budget
+# of the arcs plus 24 per vertex, a search on G(n, c/n) may run about n/43
+# levels deep (30 at the giant's core of G(2000, 2/2000), over 80 at c = 1.5
+# from n = 10^4), and an abandoned one costs about half of Tarjan on the core.
+_LEVEL_CHARGE = 1024
+
 
 def scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Strong-component label of each vertex 0..n-1 of the arcs ``src[i] -> dst[i]``.
@@ -295,9 +303,9 @@ def scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
        labels fill the band between the two peeled ones.
 
     Two guards keep the worst case linear: trimming stops after a round that
-    peels under 1/32 of what is left, and a search that runs past
-    2·bit_length(core size) + 8 levels is abandoned for Tarjan on the whole
-    core.  Below a crossover of n + m = 1024, read from timings on G(n, c/n)
+    peels under 1/32 of what is left, and a search whose arcs scanned plus a
+    charge of ``_LEVEL_CHARGE`` per level pass the core's arcs plus 24 per
+    core vertex is abandoned for Tarjan on the whole core.  Below a crossover of n + m = 1024, read from timings on G(n, c/n)
     with c from 0.6 to 4 (BENCH_scc.json), the phases cost more than they
     save and Tarjan runs alone; the core gets the same test.
     """
@@ -344,7 +352,7 @@ def _core_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     pivot = int(np.argmax(np.bincount(src, minlength=n) * np.bincount(dst, minlength=n)))
     # Both searches in one: vertices n..2n-1 are a reversed copy of the core.
     both_src, both_dst = np.concatenate((src, dst + n)), np.concatenate((dst, src + n))
-    seen = _reach(2 * n, both_src, both_dst, [pivot, pivot + n], 2 * n.bit_length() + 8)
+    seen = _reach(2 * n, both_src, both_dst, [pivot, pivot + n], len(both_src) + 24 * n)
     if seen is None:
         return _tarjan(n, src, dst)
     giant = seen[:n] & seen[n:]
@@ -357,9 +365,9 @@ def _core_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return _tarjan(int(rest.sum()) + 1, qs[between], qd[between])[quot]
 
 
-def _reach(n: int, src: np.ndarray, dst: np.ndarray, roots: list[int], levels: int) -> Optional[np.ndarray]:
+def _reach(n: int, src: np.ndarray, dst: np.ndarray, roots: list[int], budget: int) -> Optional[np.ndarray]:
     """Vertices reachable from ``roots``, breadth-first over CSR lists, or None
-    when the search runs past ``levels`` levels."""
+    once the arcs scanned plus ``_LEVEL_CHARGE`` per level would pass ``budget``."""
     succ = np.sort(src * n + dst) % n  # one sort of the arc keys orders the heads by tail
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=start[1:])
@@ -368,10 +376,14 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray, roots: list[int], levels: i
     seen[roots] = True
     first = np.empty(n, dtype=np.int64)
     frontier = np.array(roots, dtype=np.int64)
-    for _ in range(levels):
+    while True:
         count = degree[frontier]
         ends = np.cumsum(count)
-        nbr = succ[np.repeat(start[frontier] - ends + count, count) + np.arange(int(ends[-1]))]
+        scanned = int(ends[-1])
+        budget -= scanned + _LEVEL_CHARGE
+        if budget < 0:
+            return None
+        nbr = succ[np.repeat(start[frontier] - ends + count, count) + np.arange(scanned)]
         nbr = nbr[~seen[nbr]]
         if not len(nbr):
             return seen
@@ -380,7 +392,6 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray, roots: list[int], levels: i
         first[nbr] = slots
         frontier = nbr[first[nbr] == slots]
         seen[frontier] = True
-    return None
 
 
 def _tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

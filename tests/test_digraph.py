@@ -16,9 +16,10 @@ from pathabs import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
-from pathabs.digraph import CyclicGraphError, _tarjan, delete_vertices, scc_labels
+from pathabs import digraph
+from pathabs.digraph import CyclicGraphError, _reach, _tarjan, delete_vertices, scc_labels
 from pathabs.pabstract import bypass
-from pathabs.random import GnpModel, sample_arcs
+from pathabs.random import GnpModel, sample_arcs, trial_rng
 
 from conftest import random_dag, random_digraph
 
@@ -252,6 +253,32 @@ def test_scc_labels_match_tarjan_across_the_crossover():
 def test_scc_labels_on_adversarial_shapes():
     for _, (src, dst) in _adversarial_shapes():
         _require_valid_labels(50_000, src, dst)
+
+
+def _sparse_giants(n=10_000, c=1.5, seeds=range(1, 6)):
+    for seed in seeds:
+        yield sample_arcs(GnpModel(n, c / n), trial_rng(seed, 0))
+
+
+def test_the_forward_backward_search_finds_a_sparse_giant(monkeypatch):
+    # these giants lie 28-44 levels deep, past the 2·bit_length(core) + 8 levels
+    # that once abandoned two of the five searches for Tarjan on the whole core
+    found = []
+
+    def reach(*args):
+        seen = _reach(*args)
+        found.append(seen is not None)
+        return seen
+
+    monkeypatch.setattr(digraph, "_reach", reach)
+    for src, dst in _sparse_giants():
+        scc_labels(10_000, src, dst)
+    assert found == [True] * 5
+
+
+def test_scc_labels_on_sparse_giants_partition_as_tarjan_does():
+    for src, dst in _sparse_giants():
+        _require_valid_labels(10_000, src, dst)
 
 
 def test_is_acyclic():
