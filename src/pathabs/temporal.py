@@ -173,10 +173,12 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     their count, from which the heads and entry times are repeated.  The
     columns returned may repeat a contact.
 
-    The sets stay Python sets: Python-int bitsets over sweep positions cut
-    ``dtcn-n400``'s sweep less (to 1.5 ms where the sets reach 1.1 ms), and on
-    a Poisson network of 40,184 contacts took 54 ms and 24.5 MB traced where
-    the sets take about 18 ms and 8.6 MB; see the README.
+    Reach stays a Python set per vertex.  A variant with Python-int bitsets
+    over the sweep positions was slower everywhere it was timed (one core of
+    a shared 2-vCPU VM; the README has the shapes): a ``dtcn-n400`` sweep took
+    1.2-1.3 ms against 1.0, a 40,184-contact detour 96-98 ms and 18.2 MiB
+    traced against 40-45 ms and 7.3 MiB, and a 7,273-contact detour with
+    mean inner degree 3.6 took 18-19 ms against 10 ms.
     """
     from_drop, to_drop = np.isin(np.stack((d.src, d.dst)), list(drop))
     kept = ~(from_drop | to_drop)

@@ -260,9 +260,11 @@ def _sparse_giants(n=10_000, c=1.5, seeds=range(1, 6)):
         yield sample_arcs(GnpModel(n, c / n), trial_rng(seed, 0))
 
 
-def test_the_forward_backward_search_finds_a_sparse_giant(monkeypatch):
-    # these giants lie 28-44 levels deep, past the 2·bit_length(core) + 8 levels
-    # that once abandoned two of the five searches for Tarjan on the whole core
+@pytest.mark.parametrize("n, c, draws", [(10_000, 1.5, 5), (2_000, 2.0, 40)])
+def test_the_forward_backward_search_finds_a_sparse_giant(monkeypatch, n, c, draws):
+    # the c = 1.5 giants lie 28-44 levels deep, past the 2·bit_length(core) + 8
+    # levels that once abandoned two of these five searches for Tarjan on the
+    # whole core; the c = 2 giants are the scc-n2000 benchmark's, up to 24 deep
     found = []
 
     def reach(*args):
@@ -271,9 +273,9 @@ def test_the_forward_backward_search_finds_a_sparse_giant(monkeypatch):
         return seen
 
     monkeypatch.setattr(digraph, "_reach", reach)
-    for src, dst in _sparse_giants():
-        scc_labels(10_000, src, dst)
-    assert found == [True] * 5
+    for src, dst in _sparse_giants(n, c, range(1, draws + 1)):
+        scc_labels(n, src, dst)
+    assert found == [True] * draws
 
 
 def test_scc_labels_on_sparse_giants_partition_as_tarjan_does():
