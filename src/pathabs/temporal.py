@@ -173,12 +173,12 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     their count, from which the heads and entry times are repeated.  The
     columns returned may repeat a contact.
 
-    Reach stays a Python set per vertex.  A variant with Python-int bitsets
-    over the sweep positions was slower everywhere it was timed (one core of
-    a shared 2-vCPU VM; the README has the shapes): a ``dtcn-n400`` sweep took
-    1.2-1.3 ms against 1.0, a 40,184-contact detour 96-98 ms and 18.2 MiB
-    traced against 40-45 ms and 7.3 MiB, and a 7,273-contact detour with
-    mean inner degree 3.6 took 18-19 ms against 10 ms.
+    Reach stays a Python set per vertex.  A variant holding it as Python-int
+    bitsets over the sweep positions was no faster on ``dtcn-n400`` inputs
+    (sweep 0.78-0.96 ms against 0.67-1.01), slower on larger networks (a
+    40,184-contact detour 63-74 ms against 39-41, a 7,273-contact one with
+    mean inner degree 3.6 11-16 ms against 7-9) and held 2.5 times the memory
+    at 40k contacts (18.2 against 7.3 MiB traced; ``BENCH_contactsweep.json``).
     """
     from_drop, to_drop = np.isin(np.stack((d.src, d.dst)), list(drop))
     kept = ~(from_drop | to_drop)
