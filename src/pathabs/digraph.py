@@ -305,9 +305,10 @@ def scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Two guards keep the worst case linear: trimming stops after a round that
     peels under 1/32 of what is left, and a search whose arcs scanned plus a
     charge of ``_LEVEL_CHARGE`` per level pass the core's arcs plus 24 per
-    core vertex is abandoned for Tarjan on the whole core.  Below a crossover of n + m = 1024, read from timings on G(n, c/n)
-    with c from 0.6 to 4 (BENCH_scc.json), the phases cost more than they
-    save and Tarjan runs alone; the core gets the same test.
+    core vertex is abandoned for Tarjan on the whole core.  Below a crossover
+    of n + m = 1024, read from timings on G(n, c/n) with c from 0.6 to 4
+    (BENCH_scc.json), the phases cost more than they save and Tarjan runs
+    alone; the core gets the same test.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
