@@ -171,11 +171,25 @@ def _columns(arcs: Mapping[tuple[int, int], object]) -> tuple[np.ndarray, np.nda
         big = max(chain.from_iterable(arcs), key=abs)
         raise DigraphError(f"vertex ids must fit in int64 here, got {big}") from None
     values = np.fromiter(arcs.values(), dtype=object, count=len(arcs))
-    order = np.lexsort((ends[1::2], ends[0::2]))
+    order = pair_order(ends[0::2], ends[1::2])
     columns = ends[0::2][order], ends[1::2][order], values[order]
     for column in columns:
         column.flags.writeable = False
     return columns
+
+
+def pair_order(src: np.ndarray, dst: np.ndarray, time: np.ndarray | None = None) -> np.ndarray:
+    """The stable sort order of int64 rows by (src, dst), then by ``time`` if given.
+
+    Ids that all lie in [0, 2**31) sort as one int64 key src·(top + 1) + dst,
+    which sorts in about half the time of a ``lexsort`` on the two columns.
+    """
+    top = int(max(src.max(initial=0), dst.max(initial=0)))
+    if top < 2**31 and min(src.min(initial=0), dst.min(initial=0)) >= 0:
+        keys = (src * (top + 1) + dst,)
+    else:
+        keys = (dst, src)
+    return np.lexsort(keys if time is None else (time, *keys))
 
 
 def add_arc_value(acc: dict, key: tuple[int, int], value, semiring: SemiringSpec) -> None:

@@ -22,6 +22,20 @@ set of ids has no such limit.
   maps a vertex to the original vertices merged into it, as contractions
   leave them: the vertex is its block's smallest member, no other member is
   a vertex, and blocks are disjoint.
+
+Two tokenizers feed those checks.  A plain body goes through numpy's C reader
+(``np.loadtxt``) into int64 and float64 columns: an edge list whose first line
+is "n <count>" or an arc and whose lines hold two ids in ASCII digits and
+spaces, or a contact file whose header is exactly "source,target,time" and
+whose body holds only ASCII digits, ",", ".", "e", "E", "+", "-" and
+newlines.  Everything else (comments, "vertices" headers, weights, CRLF line
+ends, CSV digraphs, JSON, and Python-only number forms such as "1_0", " 3 "
+or non-ASCII digits) goes through the checked tokenizer, which reads each
+token with Python's ``int`` or ``float`` or the semiring's ``parse_value``.
+So does a plain body that numpy refuses (an id such as "3.0") or whose
+columns fail a check, so every error text comes from the checked route.
+numpy parses a decimal time to the same double as Python's ``float``, as a
+corpus of time tokens in the tests pins.
 """
 
 from __future__ import annotations
@@ -29,12 +43,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, pair_order
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, Contact, TemporalError
@@ -48,6 +64,10 @@ class ParseError(ValueError):
 # far above the largest shape measured (3·10⁵ vertices), and checked before a stray id or
 # count such as 10¹⁰ makes a reader or a sampler build it.
 VERTEX_RANGE_LIMIT = 10**7
+
+
+# A plain contact row as numpy's C reader reads it.
+_CONTACT_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("time", np.float64)])
 
 
 def require_range(top: int, where: str) -> None:
@@ -73,60 +93,105 @@ def _vertex(token: str, unit: str, index, allow_zero: bool = False) -> int:
     return value
 
 
-def _assemble(
-    index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None
-) -> Digraph:
-    """The one route from arc columns of tokens to a ``Digraph``, which gets them checked.
+def _plain_read(body: str, allowed: bytes, **options) -> np.ndarray | None:
+    """``np.loadtxt`` of a body that holds only the ``allowed`` ASCII bytes; None for any other
+    body, and for one that the C reader refuses or finds empty.
 
-    Arc i runs from token ``us[i]`` to ``vs[i]`` with value token ``tokens[i]``,
-    where None, or ``tokens`` None, means the semiring's one; errors name it as
-    "<unit> <index[i]>".  With no ``declared`` vertex set the vertices are
-    1..max over ``top`` and every endpoint named.  Columns are checked whole,
-    with one ``int`` per vertex token and one ``parse_value`` per distinct value
-    token; on a failure the arcs are read again one by one to name the first bad one.
+    Warnings are errors, so that a numpy version that reads "3.0" into an
+    int64 column with only a ``DeprecationWarning`` refuses it too.
     """
-    rows = (index, us, vs, tokens)
+    if not body.isascii() or (data := body.encode("ascii")).translate(None, allowed):
+        return None
     try:
-        # an object array casts each token through int(), so Python's number rules hold
-        u, v = (np.asarray(col, dtype=object).astype(np.int64) for col in (us, vs))
-        distinct = {None} if tokens is None else set(tokens)
-        value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in distinct}
-    except (ValueError, OverflowError):
-        _raise_arc_error(*rows, semiring, unit, declared)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.BytesIO(data), comments=None, encoding="ascii", **options)
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
+class _Unplain(Exception):
+    """Gated columns that fail a check."""
+
+
+def _refuse(rows) -> None:
+    """A gated read has no token rows to name an error from: the checked route reads the text again."""
+    if rows is None:
+        raise _Unplain
+
+
+def _assemble(
+    u, v, values, semiring: SemiringSpec, rows=None, unit="", declared=None, top: int = 0, merged=None
+) -> Digraph:
+    """The one route from int64 arc columns to a ``Digraph``, which gets them checked.
+
+    Arc i runs from ``u[i]`` to ``v[i]`` with value ``values[i]``, or the
+    semiring's one where ``values`` is None.  ``declared`` is the vertex set,
+    a frozenset or a range 1..count, which bounds the arc ends with one min and
+    max; with none the vertices are 1..max over ``top`` and every endpoint.  A
+    failed check raises the first bad arc's error, read again from the token
+    ``rows`` (index, us, vs, tokens) and named "<unit> <index[i]>"; columns
+    from a plain read come without rows and raise ``_Unplain``.
+    """
     ends = np.concatenate([u, v])
-    outside = declared is not None and not declared.issuperset(ends.tolist())
+    if isinstance(declared, range):
+        outside = ends.max(initial=0) >= declared.stop
+    else:
+        outside = declared is not None and not declared.issuperset(ends.tolist())
     if ends.min(initial=1) < 1 or (u == v).any() or outside:
-        _raise_arc_error(*rows, semiring, unit, declared)
+        _raise_arc_error(rows, semiring, unit, declared)
     if declared is None:
         high = np.maximum(u, v)
         last = max(top, int(high.max(initial=0)))
-        require_range(last, f"n {top}" if top == last else f"{unit} {index[int(high.argmax())]}")
-        declared = frozenset(range(1, last + 1))
-    order = np.lexsort((v, u))  # stable: a repeated arc's values stay in file order
+        if last > VERTEX_RANGE_LIMIT:
+            _refuse(rows)
+            require_range(last, f"n {top}" if top == last else f"{unit} {rows[0][int(high.argmax())]}")
+        declared = range(1, last + 1)
+    order = pair_order(u, v)  # stable: a repeated arc's values stay in file order
     u, v = u[order], v[order]
+    weighted = values is not None
+    values = values[order] if weighted else np.full(len(u), semiring.one, dtype=object)
     fresh = np.ones(len(u), dtype=bool)  # the first arc of each run of repeats
     fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    if tokens is None:
-        values = np.full(len(u), semiring.one, dtype=object)
-    else:
-        values = np.fromiter(map(value_of.__getitem__, tokens), dtype=object, count=len(tokens))[order]
-    if not fresh.all():  # semiring-add each repeated arc's values, in file order
-        starts = np.flatnonzero(fresh).tolist()
-        values = np.fromiter(
-            (reduce(semiring.add, values[a:b]) for a, b in zip(starts, starts[1:] + [len(values)])),
-            dtype=object,
-            count=len(starts),
-        )
-        u, v = u[fresh], v[fresh]
-    if semiring.is_zero and (not fresh.all() or any(map(semiring.is_zero, value_of.values()))):
+    repeats = not fresh.all()
+    if repeats:  # semiring-add each run longer than one, in file order
+        starts = np.flatnonzero(fresh)
+        stops = np.append(starts[1:], len(u))
+        runs = np.flatnonzero(stops - starts > 1)
+        sums = values[starts]
+        for j, a, b in zip(runs.tolist(), starts[runs].tolist(), stops[runs].tolist()):
+            sums[j] = reduce(semiring.add, values[a:b])
+        u, v, values = u[fresh], v[fresh], sums
+    if semiring.is_zero and (weighted or repeats):
         nonzero = ~np.fromiter(map(semiring.is_zero, values), dtype=bool, count=len(values))
         u, v, values = u[nonzero], v[nonzero], values[nonzero]
     # valid by construction: the masks above refused loops and arcs leaving the vertex set
-    return Digraph._of(declared, u, v, values, semiring, merged or {})
+    return Digraph._of(frozenset(declared), u, v, values, semiring, merged or {})
 
 
-def _raise_arc_error(index, us, vs, tokens, semiring: SemiringSpec, unit: str, declared) -> None:
+def _assemble_rows(rows, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None) -> Digraph:
+    """``_assemble`` on token rows (index, us, vs, tokens), a None token being the semiring's one.
+
+    Columns are converted whole, with one ``int`` per vertex token and one
+    ``parse_value`` per distinct value token.
+    """
+    index, us, vs, tokens = rows
+    try:
+        # an object array casts each token through int(), so Python's number rules hold
+        u, v = (np.asarray(col, dtype=object).astype(np.int64) for col in (us, vs))
+        values = None
+        if tokens is not None:
+            value_of = {t: semiring.one if t is None else semiring.parse_value(t) for t in set(tokens)}
+            values = np.fromiter(map(value_of.__getitem__, tokens), dtype=object, count=len(tokens))
+    except (ValueError, OverflowError):
+        _raise_arc_error(rows, semiring, unit, declared)
+    return _assemble(u, v, values, semiring, rows, unit, declared, top, merged)
+
+
+def _raise_arc_error(rows, semiring: SemiringSpec, unit: str, declared) -> None:
     """Raise the first bad arc's error: its ids, then a loop, then the vertex set, then the value."""
+    _refuse(rows)
+    index, us, vs, tokens = rows
     for i, a, b, token in zip(index, us, vs, repeat(None) if tokens is None else tokens):
         u, v = _vertex(a, unit, i), _vertex(b, unit, i)
         if u == v:
@@ -140,8 +205,43 @@ def _raise_arc_error(index, us, vs, tokens, semiring: SemiringSpec, unit: str, d
 
 
 def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
-    """An edge list.  Its lines are split twice, once to count each line's tokens and
-    once into one flat token list, so that no container per line stays alive."""
+    """An edge list.  A plain body goes through numpy's C reader (see the module
+    docstring); other text, and a plain body that fails a check, through the
+    checked tokenizer, which names the error."""
+    plain = _plain_edgelist(text)
+    if plain is not None:
+        u, v, declared = plain
+        try:
+            return _assemble(u, v, None, semiring, declared=declared)
+        except _Unplain:
+            pass
+    rows, declared = _edgelist_rows(text, semiring)
+    return _assemble_rows(rows, semiring, "line", declared)
+
+
+def _plain_edgelist(text: str) -> tuple[np.ndarray, np.ndarray, range | None] | None:
+    """The arc columns and declared range of an edge list whose first line is "n <count>"
+    or an arc, and whose body holds two ids a line in ASCII digits, spaces and newlines."""
+    head, _, body = text.partition("\n")
+    count = head[2:].strip(" ")
+    if not head.startswith("n "):
+        body, declared = text, None
+    elif count.isascii() and count.isdigit() and int(count) <= VERTEX_RANGE_LIMIT:
+        declared = range(1, int(count) + 1)
+    else:
+        return None
+    arcs = _plain_read(body, b"0123456789 \n", dtype=np.int64, ndmin=2)
+    if arcs is None or arcs.shape[1] != 2:
+        return None
+    return arcs[:, 0], arcs[:, 1], declared
+
+
+def _edgelist_rows(text: str, semiring: SemiringSpec) -> tuple[tuple, frozenset | range | None]:
+    """The token rows and declared vertex set of an edge list, checked line by line.
+
+    Lines are split twice, once to count each line's tokens and once into one
+    flat token list, so that no container per line stays alive.
+    """
     lines = [raw.split("#", 1)[0] for raw in text.splitlines()] if "#" in text else text.splitlines()
     counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
     lineno = np.flatnonzero(counts) + 1  # the content lines
@@ -153,7 +253,7 @@ def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
         if key == "n" and len(tokens) == 1:
             count = _vertex(tokens[0], "line", lineno[0], allow_zero=True)
             require_range(count, f"line {lineno[0]}")
-            declared = frozenset(range(1, count + 1))
+            declared = range(1, count + 1)
         elif key == "vertices":
             declared = frozenset(_vertex(t, "line", lineno[0]) for t in tokens)
         if declared is not None:
@@ -165,9 +265,9 @@ def parse_digraph(text: str, semiring: SemiringSpec = BOOLEAN) -> Digraph:
     bad = (counts < 2) | (counts > 3)  # "u v" and "u v weight" lines
     if bad.any():
         first = int(np.argmax(bad))
-        _raise_arc_error(*(c[:first] for c in columns), tokens, semiring, "line", declared)  # earlier first
+        _raise_arc_error((*(c[:first] for c in columns), tokens), semiring, "line", declared)  # earlier first
         raise ParseError(f"line {lineno[first]}: expected 'u v' or 'u v weight'")
-    return _assemble(*columns, tokens, semiring, "line", declared)
+    return (*columns, tokens), declared
 
 
 def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None = None) -> Digraph:
@@ -180,8 +280,8 @@ def parse_digraph_csv(text: str, semiring: SemiringSpec = BOOLEAN, n: int | None
     lines, us, vs, ws = _csv_columns(text, "from,to,value")
     arc = [bool(v.strip() or w.strip()) for v, w in zip(vs, ws)]
     listed = frozenset(_vertex(u, "row", i) for i, u, a in zip(lines, us, arc) if not a)
-    columns = (list(compress(column, arc)) for column in (lines, us, vs, ws))
-    return _assemble(*columns, semiring, "row", listed or None, n or 0)
+    rows = tuple(list(compress(column, arc)) for column in (lines, us, vs, ws))
+    return _assemble_rows(rows, semiring, "row", listed or None, n or 0)
 
 
 def parse_digraph_json(text: str) -> Digraph:
@@ -213,7 +313,7 @@ def parse_digraph_json(text: str) -> Digraph:
         if len(members & vertices) > 1 or any(members & m for m in merged.values()):
             raise ParseError(f"block {key}: {sorted(members)} meets another block or vertex")
         merged[rep] = members
-    return _assemble(*(zip(*rows) if rows else ((),) * 4), semiring, "arc", vertices, merged=merged)
+    return _assemble_rows(tuple(zip(*rows)) if rows else ((),) * 4, semiring, "arc", vertices, merged=merged)
 
 
 def _csv_columns(text: str, header: str) -> tuple[list[int], list[str], list[str], list[str]]:
@@ -261,8 +361,16 @@ def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
     head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
-    if d.semiring.name == "boolean":
-        return head + "%s %s\n" * len(d.src) % tuple(np.column_stack((d.src, d.dst)).ravel().tolist())
+    if d.semiring.name == "boolean":  # each vertex formatted once, as a tail and as a head
+        src, dst = d.src, d.dst
+        ends = np.concatenate([src, dst])
+        # the vertices from the least to the largest arc end: int64, as the columns are
+        named = order[bisect_left(order, int(ends.min(initial=0))) : bisect_right(order, int(ends.max(initial=0)))]
+        ids = np.array(named, dtype=np.int64)
+        cells = np.empty(len(ends), dtype=object)
+        cells[0::2] = np.array([f"{v} " for v in named], dtype=object)[np.searchsorted(ids, src)]
+        cells[1::2] = np.array([f"{v}\n" for v in named], dtype=object)[np.searchsorted(ids, dst)]
+        return head + "".join(cells.tolist())
     value = d.semiring.format_value
     rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
     return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
@@ -344,33 +452,54 @@ def serialize_partition(p: PartialPartition) -> str:
 def parse_contacts(text: str, n: int | None = None) -> DTCN:
     """Contact CSV with header source,target,time; times are decimal literals.
 
-    The columns are converted and checked whole; a file that fails is read
+    A plain body goes through numpy's C reader (see the module docstring).
+    Other text, and a plain body that fails a check, goes through the csv
+    module; its columns are converted whole, and a file that fails is read
     again row by row, so that the error names its first bad row.
     """
+    head, _, body = text.partition("\n")
+    if head == "source,target,time":
+        plain = _plain_read(body, b"0123456789,.eE+-\n", dtype=_CONTACT_ROW, delimiter=",", ndmin=1)
+        if plain is not None:
+            try:
+                return _network(plain["source"], plain["target"], plain["time"], n)
+            except _Unplain:
+                pass
     lines, *cells = _csv_columns(text, "source,target,time")
     if not lines:
         raise ParseError("contact file holds no contacts")
+    rows = (lines, *cells)
     try:
         # numpy reads each string cell with Python's int and float
         src, dst = (np.array(col, dtype=np.int64) for col in cells[:2])
         time = np.array(cells[2], dtype=np.float64)
     except (ValueError, OverflowError):
-        _raise_row_error(lines, *cells)
+        _raise_row_error(rows)
+    return _network(src, dst, time, n, rows)
+
+
+def _network(src, dst, time, n: int | None, rows=None) -> DTCN:
+    """The network of contact columns, on 1..max over ``n`` and every id.  A failed check
+    raises the first bad row's error, read again from the token ``rows`` (lines, *cells);
+    columns from a plain read come without rows and raise ``_Unplain``."""
     if min(src.min(), dst.min()) < 1 or not np.isfinite(time).all() or (src == dst).any():
-        _raise_row_error(lines, *cells)
+        _raise_row_error(rows)
     high = np.maximum(src, dst)
     top = max(int(high.max()), n or 0)
-    require_range(top, f"n {n}" if top == n else f"row {lines[int(high.argmax())]}")
+    if top > VERTEX_RANGE_LIMIT:
+        _refuse(rows)
+        require_range(top, f"n {n}" if top == n else f"row {rows[0][int(high.argmax())]}")
     d = DTCN._of(frozenset(range(1, top + 1)), src, dst, time)
-    if len(d.src) < len(lines):  # a repeated contact
-        _raise_row_error(lines, *cells)
+    if len(d.src) < len(src):  # a repeated contact
+        _raise_row_error(rows)
     return d
 
 
-def _raise_row_error(lines, *cells) -> None:
+def _raise_row_error(rows) -> None:
     """Raise the first bad row's error; loops and infinite times come after every other check."""
+    _refuse(rows)
     triples: dict[tuple[int, int, float], int] = {}
-    for i, a, b, tau in zip(lines, *cells):
+    for i, a, b, tau in zip(*rows):
         s, t = _vertex(a, "row", i), _vertex(b, "row", i)
         try:
             triple = (s, t, float(tau))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, pair_order
 from .partitions import PartialPartition, PartitionError
 from .random import GnpModel, sample_arcs, trial_rng
 
@@ -75,7 +75,7 @@ class DTCN:
     def _of(cls, vertices: frozenset[int], src, dst, time) -> "DTCN":
         """A network from unchecked columns in any order, repeats allowed."""
         src, dst, time = np.asarray(src, "i8"), np.asarray(dst, "i8"), np.asarray(time, "f8")
-        order = np.lexsort((time, dst, src))
+        order = pair_order(src, dst, time)
         src, dst, time = src[order], dst[order], time[order]
         fresh = np.ones(len(src), dtype=bool)
         fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (time[1:] != time[:-1])

@@ -28,6 +28,9 @@ def _result(read):
         return f"ParseError: {exc}"
 
 
+_TAME_ARCS = [(str(a), str(b)) for a in range(1, 5) for b in range(1, 5) if a != b]
+
+
 def test_plain_edge_lists_read_as_the_checked_route_reads_them():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -40,14 +43,14 @@ def test_plain_edge_lists_read_as_the_checked_route_reads_them():
     @hypothesis.given(st.data())
     def holds(data):
         s = REGISTRY[data.draw(st.sampled_from(sorted(REGISTRY)))]
-        header = data.draw(st.sampled_from(["", "n 0\n", "n 4\n", "n 9\n", "n 12\n", "n 10000001\n"]))
-        lines = []
+        header = data.draw(st.sampled_from(["", "n 0\n", "n 4\n", "n 9\n", "n 12\n", "n 10000001\n", "n  04 \n", "n 4 5\n", "n\x0b4\n", "n\t4\n", "n 4\r\n"]))
+        lines, wild = [], data.draw(st.booleans())  # a tame body is valid under every header but "n 0"
         for _ in range(data.draw(st.integers(0, 12))):
-            u, v = data.draw(ids), data.draw(ids)
+            u, v = (data.draw(ids), data.draw(ids)) if wild else data.draw(st.sampled_from(_TAME_ARCS))
             if data.draw(st.integers(0, 3)) == 0 and lines:
                 lines.append(data.draw(st.sampled_from(lines)))  # a repeated arc
             gap = data.draw(st.sampled_from([" ", "  "]))
-            third = data.draw(st.sampled_from(["", "", "", " 1"]))
+            third = data.draw(st.sampled_from(["", "", "", " 1"])) if wild else ""
             lines.append(data.draw(st.sampled_from(["", " "])) + u + gap + v + third)
             if data.draw(st.integers(0, 5)) == 0:
                 lines.append(data.draw(st.sampled_from(["", "   "])))
@@ -121,7 +124,33 @@ def _time_tokens() -> list[str]:
     ]
 
 
-def test_contact_times_parse_bit_for_bit_as_python_float():
+def _checked_tokenizers_fail(monkeypatch):
+    import pathabs.formats as formats
+
+    for name in ("_edgelist_rows", "_csv_columns"):
+        monkeypatch.setattr(formats, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+
+
+def test_benchmark_shaped_files_skip_the_checked_tokenizers(monkeypatch):
+    rng = np.random.default_rng(11)
+    pairs = rng.choice(1000 * 999, size=2000, replace=False)
+    src, dst = np.divmod(pairs, 999)
+    dst += dst >= src
+    edges = "n 1000\n" + "".join(f"{x + 1} {y + 1}\n" for x, y in zip(src.tolist(), dst.tolist()))
+    total = rng.poisson(0.01 * 400 * 399)
+    s, t = rng.integers(0, 400, size=total), rng.integers(0, 399, size=total)
+    t += t >= s
+    rows = list(zip((s + 1).tolist(), (t + 1).tolist(), rng.random(total).tolist()))
+    contacts = _HEADER + "".join(f"{a},{b},{tau!r}\n" for a, b, tau in rows)
+    _checked_tokenizers_fail(monkeypatch)
+    d = parse_digraph(edges)
+    assert d.n == 1000 and sorted(d.arcs) == sorted(zip((src + 1).tolist(), (dst + 1).tolist()))
+    network = parse_contacts(contacts, n=400)
+    assert network.n == 400 and network.triples() == sorted(rows)
+
+
+def test_contact_times_parse_bit_for_bit_as_python_float(monkeypatch):
+    _checked_tokenizers_fail(monkeypatch)  # numpy's C reader parses every token
     tokens = _time_tokens()
     # one (source, target) pair per row keeps the file order and makes -0.0 and 0.0 distinct contacts
     text = _HEADER + "".join(f"1,{k + 2},{token}\n" for k, token in enumerate(tokens))
@@ -213,3 +242,8 @@ def test_boolean_edge_list_writer_matches_a_line_at_a_time_reference(vertices):
         Digraph.build(len(order), [(order.index(x) + 1, order.index(y) + 1) for x, y in arcs])
     )
 
+
+
+def test_the_edge_list_writer_keeps_isolated_ids_past_int64():
+    d = Digraph(frozenset({-(2**70), 1, 2, 2**64}), {(1, 2): 1})
+    assert serialize_digraph(d) == f"vertices {-(2**70)} 1 2 {2**64}\n1 2\n"
