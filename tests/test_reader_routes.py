@@ -28,6 +28,7 @@ def _result(read):
         return f"ParseError: {exc}"
 
 
+_HEADERS = ["", "n 0\n", "n 4\n", "n 9\n", "n 12\n", "n 10000001\n", "n  04 \n", "n 4 5\n", "n\x0b4\n", "n\t4\n", "n 4\r\n"]
 _TAME_ARCS = [(str(a), str(b)) for a in range(1, 5) for b in range(1, 5) if a != b]
 
 
@@ -43,8 +44,8 @@ def test_plain_edge_lists_read_as_the_checked_route_reads_them():
     @hypothesis.given(st.data())
     def holds(data):
         s = REGISTRY[data.draw(st.sampled_from(sorted(REGISTRY)))]
-        header = data.draw(st.sampled_from(["", "n 0\n", "n 4\n", "n 9\n", "n 12\n", "n 10000001\n", "n  04 \n", "n 4 5\n", "n\x0b4\n", "n\t4\n", "n 4\r\n"]))
-        lines, wild = [], data.draw(st.booleans())  # a tame body is valid under every header but "n 0"
+        header = data.draw(st.sampled_from(_HEADERS))
+        lines, wild = [], data.draw(st.booleans())  # a tame body holds arcs of 1..4 only
         for _ in range(data.draw(st.integers(0, 12))):
             u, v = (data.draw(ids), data.draw(ids)) if wild else data.draw(st.sampled_from(_TAME_ARCS))
             if data.draw(st.integers(0, 3)) == 0 and lines:
@@ -182,7 +183,11 @@ def _per_arc(lines, semiring):
 @pytest.mark.parametrize("seed", range(4))
 def test_repeated_arcs_add_once_per_extra_copy_in_file_order(seed):
     rng = random.Random(seed)
-    tokens = {"counting": ["0", "1", "2", "5"], "minplus-nonneg": ["0", "0.5", "3", "7.25"], "real": ["0.1", "0.2", "0.3", "-0.1", "1e16", "1"]}
+    tokens = {
+        "counting": ["0", "1", "2", "5"],
+        "minplus-nonneg": ["0", "0.5", "3", "7.25"],
+        "real": ["0.1", "0.2", "0.3", "-0.1", "1e16", "1"],
+    }
     lines = [(rng.randint(1, 6), rng.randint(1, 6), None) for _ in range(60)]
     lines = [(u, v, w) for u, v, w in lines if u != v]
     counting, calls = _counting_adds()
