@@ -407,6 +407,41 @@ def test_monte_carlo_memory_follows_the_arcs():
     assert 0.0 < out.mean <= 1.0
 
 
+def test_abstraction_pairs_builds_nothing_for_a_dead_component():
+    # 10^6 dropped vertices, of which only vertex 1 lies on a route, from block {0} to block {2}:
+    # one empty set per dropped component would take over 200 MB
+    block_of = np.full(10**6 + 2, -1, dtype=np.int64)
+    block_of[[0, 2]] = [0, 1]
+    src, dst = np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = abstraction_pairs(src, dst, block_of, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [1]
+    assert peak < 80 * 2**20, peak
+
+
+def test_abstraction_pairs_memory_on_a_monte_carlo_draw():
+    # 30,000 vertices, c=2, 300 singleton blocks: components upstream of the dropped
+    # set's giant must not each hold a copy of the giant's set
+    n, m = 30_000, 300
+    block_of = np.full(n, -1, dtype=np.int64)
+    block_of[:m] = np.arange(m)
+    src, dst = sample_arcs(GnpModel(n, 2 / n), trial_rng(1, 0))
+    tracemalloc.start()
+    try:
+        got = abstraction_pairs(src, dst, block_of, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256(got.astype("<i8").tobytes()).hexdigest()
+    assert len(got) == 56_445
+    assert digest == "095775b2ec6c7e78dafe64d9393b96d73d65118a0b2ab5e436e5324d0a6b0224"
+    assert peak < 32 * 2**20, peak
+
+
 def _bisect_oracle(c):
     lo, hi = 1e-12, 1.0
     target = c * math.exp(-c)

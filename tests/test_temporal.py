@@ -1,6 +1,7 @@
 import gc
 import math
 import platform
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ def test_detour_follows_an_equal_time_chain_met_against_its_direction():
     rev = DTCN.build(5, [(1, 5, 0.5), (5, 4, 0.5), (4, 3, 0.5), (3, 2, 0.5)])
     assert dtcn_detour(rev, {3, 4, 5}).triples() == [(1, 2, 0.5)]
     assert layered_detour_oracle(rev, {3, 4, 5}) == {(1, 2, 0.5)}
+
+
+def test_a_long_equal_time_chain_met_against_its_direction_detours_in_linear_time():
+    # 1 -> 3 -> 4 -> ... -> 4002 -> 2 at one instant, rows ascending along the chain:
+    # one pass per hop over the instant's inner contacts took seconds here
+    hops = 4000
+    chain = [(1, 3, 0.5), *((v, v + 1, 0.5) for v in range(3, hops + 2)), (hops + 2, 2, 0.5)]
+    d = DTCN.build(hops + 2, chain)
+    start = time.perf_counter()
+    out = dtcn_detour(d, range(3, hops + 3))
+    elapsed = time.perf_counter() - start
+    assert out.triples() == [(1, 2, 0.5)]
+    assert elapsed < 0.5, elapsed
 
 
 def test_detour_closes_a_three_cycle_entered_and_left_at_its_instant():
