@@ -358,9 +358,12 @@ def layered_detour_oracle(d: DTCN, drop) -> set[tuple[int, int, float]]:
 def equal_time_network(rng: _stdrandom.Random, n: int) -> tuple[DTCN, frozenset[int]]:
     """Contacts mostly on the grid 0, 0.5, 1 and a drop set of 1..n-1 vertices.
 
-    With two or more dropped vertices, a 2- or 3-cycle through them is planted
-    at one instant, entered at its second vertex and left from its first, so
-    only a walk around the cycle at that instant joins the two.
+    With two or more dropped vertices, two or three instants of the grid each
+    get a chain or a cycle of two to four dropped vertices.  A chain is entered
+    at its first vertex and left from its last, a cycle entered at its second
+    and left from its first, so only a walk around it at that instant joins
+    the two; ids mostly ascend along either, so rows sorted by source come
+    against its direction.
     """
     grid = (0.0, 0.5, 1.0)
     drop = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
@@ -372,15 +375,18 @@ def equal_time_network(rng: _stdrandom.Random, n: int) -> tuple[DTCN, frozenset[
         if x != y and rng.random() < 0.25
     }
     if len(drop) > 1:
-        cycle = drop[: rng.choice((2, 3))]
-        tau = rng.choice(grid)
-        triples |= {(a, b, tau) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
-        triples |= {(rng.choice(kept), cycle[1], tau), (cycle[0], rng.choice(kept), tau)}
+        for tau in rng.sample(grid, rng.randint(2, 3)):
+            walk = sorted(rng.sample(drop, min(len(drop), rng.randint(2, 4))), reverse=rng.random() < 0.25)
+            if rng.random() < 0.5:
+                walk = [*walk[1:], walk[0]]
+                triples.add((walk[-1], walk[0], tau))
+            triples |= {(a, b, tau) for a, b in zip(walk, walk[1:])}
+            triples |= {(rng.choice(kept), walk[0], tau), (walk[-1], rng.choice(kept), tau)}
     return DTCN.build(n, triples), frozenset(drop)
 
 
 def check_temporal_layered_oracle(seed: int):
-    """The contact sweep against the layered bypass, with equal-time cycles."""
+    """The detour against the layered bypass, with equal-time chains and cycles."""
     rng = _stdrandom.Random(seed)
     for _ in range(150):
         d, drop = equal_time_network(rng, rng.randint(3, 8))

@@ -10,10 +10,11 @@ the bypassed digraph.
 A path abstraction bypasses everything outside a partial partition's support
 and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
 on arc arrays: ``path_abstract`` wraps it for a ``Digraph``, the Monte Carlo in
-``random`` calls it per trial, and on the boolean semiring ``detour_set`` and
-``bypass_set`` call it with each survivor its own block, since a bypass is the
-path abstraction that merges nothing.  Other semirings eliminate the dropped
-vertices one at a time with the semiring's star, which sums the walks through them.
+``random`` calls it per trial, ``temporal.dtcn_detour`` on a layered digraph,
+and on the boolean semiring ``detour_set`` and ``bypass_set`` call it with
+each survivor its own block, since a bypass is the path abstraction that
+merges nothing.  Other semirings eliminate the dropped vertices one at a time
+with the semiring's star, which sums the walks through them.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
@@ -203,14 +204,19 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     The digraph has the 0-based arcs ``src[i] -> dst[i]``; ``block_of[v]`` is
     the block (0..m-1) of vertex v, or -1 for a dropped vertex.  Block j gets
     an arc to block k != j when a member of j reaches a member of k directly
-    or through dropped vertices only.  The subgraph induced on the dropped set
-    is condensed with ``scc_labels``; each component gets the set of blocks
-    it exits to, and a pass in ascending label order unions in the sets of its
-    successors, which an arc between components never labels higher.  An
-    entry arc from block j into a component then yields j -> k for every k in
-    the component's set.  Time and memory are linear in the arc count plus the
-    set sizes, each at most the number of blocks its component reaches, where
-    dense rows of all m blocks would grow as (components)·m.
+    or through dropped vertices only; the temporal lane's blocks are single
+    entry and exit contacts of a layered digraph (``temporal._detour_columns``).
+    The dropped subgraph is condensed with ``scc_labels`` (Purdom, BIT 10,
+    1970; Nuutila, 1995).  A component holds the set of blocks it reaches, or
+    None for none; in ascending label order, arcs between components running
+    to lower labels, it unions in its successors' sets, pointing to its first
+    successor's when it has none of its own and copying only when a second
+    writes.  An entry arc from block j into a component yields j -> k for every
+    k in its set, and only entered components are decoded.  Time is linear in
+    the arcs plus the set elements copied, unioned and decoded; memory in the
+    arcs plus the sets held, a dead component costing one list slot: 10⁶
+    dropped vertices off every route peak at 41 MiB, a 40,184-contact
+    detour at 12 MiB.
     """
     bs, bd = block_of[src], block_of[dst]
     direct = (bs >= 0) & (bd >= 0) & (bs != bd)
@@ -221,20 +227,38 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
         pos = np.cumsum(block_of < 0) - 1  # a dropped vertex's index among the dropped
         inner = (bs < 0) & (bd < 0)
         label = scc_labels(int(pos[-1]) + 1, pos[src[inner]], pos[dst[inner]])
-        reach = [set() for _ in range(int(label.max()) + 1)]
+        reach: list[set | None] = [None] * (int(label.max()) + 1)
         for c, k in zip(label[pos[src[exits]]].tolist(), bd[exits].tolist()):
-            reach[c].add(k)
+            if reach[c] is None:
+                reach[c] = {k}
+            else:
+                reach[c].add(k)
         cs, cd = label[pos[src[inner]]], label[pos[dst[inner]]]
         between = cs != cd
         cs, cd = cs[between], cd[between]
         order = np.argsort(cs, kind="stable")
+        borrowed = set()  # components whose reach is still a successor's finished set
         for c, s in zip(cs[order].tolist(), cd[order].tolist()):
-            reach[c] |= reach[s]
+            found, mine = reach[s], reach[c]
+            if found is None or found is mine:
+                continue
+            if mine is None:
+                reach[c] = found
+                borrowed.add(c)
+            elif c in borrowed:
+                reach[c] = mine | found
+                borrowed.remove(c)
+            else:
+                mine |= found
         into = label[pos[dst[entries]]]
-        size = np.fromiter(map(len, reach), dtype=np.int64, count=len(reach))
-        count = size[into]  # entry e copies its component's set from the sets laid end to end
-        flat = np.fromiter(chain.from_iterable(reach), dtype=np.int64, count=int(size.sum()))
-        k = flat[np.repeat(np.cumsum(size)[into] - np.cumsum(count), count) + np.arange(count.sum())]
+        entered = np.zeros(len(reach), dtype=bool)
+        entered[into] = True
+        sets = [reach[c] or () for c in np.flatnonzero(entered).tolist()]
+        size = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        at = np.cumsum(entered)[into] - 1
+        count = size[at]  # entry e copies its component's set from the entered sets laid end to end
+        flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(size.sum()))
+        k = flat[np.repeat(np.cumsum(size)[at] - np.cumsum(count), count) + np.arange(count.sum())]
         j = np.repeat(bs[entries], count)
         ids.append(j[k != j] * m + k[k != j])
     # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's

@@ -8,9 +8,9 @@ network are ordinary paths there.
 
 Detouring a vertex set bypasses all of its layers inside the layered digraph
 and reads each surviving cross-vertex arc back as a contact stamped with the
-later of its two layer times, by one sweep over the contacts in descending
-time (see ``_detour_columns``).  The layered digraph itself is built only for
-inspection and as the test oracle.
+later of its two layer times: a path abstraction, by the static lane's core
+``pabstract.abstraction_pairs`` (see ``_detour_columns``).  The layered
+digraph itself is built only for inspection and as the test oracle.
 Sentinel times are the IEEE infinities; contact times must be finite and
 sentinels are never serialized.
 """
@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digraph import Digraph, pair_order
+from .pabstract import abstraction_pairs
 from .partitions import PartialPartition, PartitionError
 from .random import GnpModel, sample_arcs, trial_rng
 
@@ -155,100 +156,59 @@ def build_temporal_digraph(d: DTCN) -> TemporalDigraph:
 def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     """Cross-vertex arcs of the layered digraph after bypassing drop's layers.
 
-    Survivor-to-survivor contacts stay.  An entry contact (x, u, t1) into a
-    dropped u yields (x, y, t2) for every exit contact (w, y, t2) that a path
-    through dropped layers joins it to.  Such a path climbs fibers, which is
-    strictly later, or takes an inner contact, which keeps the time; so t2 >= t1,
-    every cycle lies within one instant, and descending time orders the rest.
-
-    One flat loop over the swept contacts, ordered by one ``lexsort`` on
-    (descending time, kind) with exits before inner contacts before entries,
-    keeps ``reach[u]``, the exits reachable from u's layer at the current time
-    or later, as a set of positions in the sweep.  Within an instant, exits
-    join their source's reach; a lone inner contact (s, t) is one in-place
-    ``reach[s] |= reach[t]``; a run of two or more inner contacts at one
-    instant, found by comparing neighbouring times, is repeated to a fixed
-    point, since its rows may come against the direction of a chain or cycle;
-    and each entry adds its target's reach to a flat list of exits and records
-    their count, from which the heads and entry times are repeated.  The
-    columns returned may repeat a contact.
-
-    Reach stays a Python set per vertex.  A variant holding it as Python-int
-    bitsets over the sweep positions was no faster on ``dtcn-n400`` inputs
-    (sweep 0.78-0.96 ms against 0.67-1.01), slower on larger networks (a
-    40,184-contact detour 63-74 ms against 39-41, a 7,273-contact one with
-    mean inner degree 3.6 11-16 ms against 7-9) and held 2.5 times the memory
-    at 40k contacts (18.2 against 7.3 MiB traced; ``BENCH_contactsweep.json``).
+    Survivor-to-survivor contacts stay.  The rest go to ``abstraction_pairs``
+    as the layered digraph of the dropped layers: a node per (dropped vertex,
+    time) at which a contact arrives, an arc to its vertex's next node, and a
+    contact leaving w at t leaves w's latest node at or before t (no contact
+    enters the layers between), or is dead.  Inner contacts are arcs; an entry
+    or exit contact is a block with one arc to its head's node or from its
+    tail's.  A pair (entry j, exit k) reads back as (source j, target k, time
+    k).  The columns returned may repeat a contact.
     """
     from_drop, to_drop = np.isin(np.stack((d.src, d.dst)), list(drop))
     kept = ~(from_drop | to_drop)
-    swept = np.flatnonzero(~kept)
-    # kind 0 is an exit, 1 an inner contact, 2 an entry; int8 keys sort several times faster
-    kind = 1 + to_drop[swept].astype(np.int8) - from_drop[swept]
-    order = np.lexsort((kind, -d.time[swept]))
-    swept, kind = swept[order], kind[order]
-    src, dst, time = d.src[swept], d.dst[swept], d.time[swept]
-    # an inner contact tied with the next at its instant becomes kind 3, the last of such a run kind 4
-    inner = kind == 1
-    link = np.zeros(len(kind), dtype=bool)
-    link[:-1] = inner[1:] & inner[:-1] & (time[1:] == time[:-1])
-    kind[link] = 3
-    kind[1:][link[:-1] & ~link[1:]] = 4
-    reach: dict[int, set[int]] = {}
-    exits, counts, run = [], [], []
-    for k, (c, s, t) in enumerate(zip(kind.tolist(), src.tolist(), dst.tolist())):
-        if c == 0:
-            if s in reach:
-                reach[s].add(k)
-            else:
-                reach[s] = {k}
-        elif c == 1:
-            if t in reach:
-                if s in reach:
-                    reach[s] |= reach[t]
-                else:
-                    reach[s] = set(reach[t])
-        elif c == 2:
-            found = reach.get(t, ())
-            exits += found
-            counts.append(len(found))
-        else:
-            run.append((s, t))
-            if c == 4:
-                _close(reach, run)
-                run = []
-    exits = np.array(exits, dtype=np.intp)
-    entries = kind == 2
-    heads, entered = np.repeat(src[entries], counts), np.repeat(time[entries], counts)
-    to, at = dst[exits], time[exits]
-    early = np.flatnonzero(at < entered)
+    arrive, leave = np.flatnonzero(to_drop), np.flatnonzero(from_drop)
+    if not len(arrive) or not len(leave):
+        return [d.src[kept], d.dst[kept], d.time[kept]]
+    # events by (vertex, time): a quicksort on time, then a stable sort on the vertex
+    vertex, time = np.concatenate((d.dst[arrive], d.src[leave])), d.time[np.concatenate((arrive, leave))]
+    order = np.argsort(time)
+    order = order[np.argsort(vertex[order], kind="stable")]
+    vertex, time = vertex[order], time[order]
+    first = np.ones(len(order), dtype=bool)  # the first event of its (vertex, time)
+    first[1:] = (vertex[1:] != vertex[:-1]) | (time[1:] != time[:-1])
+    group = np.cumsum(first) - 1
+    arrived = np.zeros(group[-1] + 1, dtype=bool)  # the (vertex, time) groups that are nodes
+    arrived[group[order < len(arrive)]] = True
+    node = (np.cumsum(arrived) - 1)[group]
+    at_node = vertex[first][arrived]
+    node[(node < 0) | (at_node[node] != vertex)] = -1  # leaves before its vertex's first arrival
+    node[order] = node.copy()
+    # an entry or exit contact is a block, vertex n + its index; every swept contact is one arc
+    n, outer = len(at_node), to_drop != from_drop
+    blocks = np.flatnonzero(outer)
+    tail = n - 1 + np.cumsum(outer)
+    head = tail.copy()
+    head[arrive], tail[leave] = node[: len(arrive)], node[len(arrive) :]
+    fiber = np.flatnonzero(at_node[1:] == at_node[:-1])
+    src, dst = np.concatenate((fiber, tail[~kept])), np.concatenate((fiber + 1, head[~kept]))
+    live = src >= 0
+    m = len(blocks)
+    block_of = np.concatenate((np.full(n, -1), np.arange(m)))
+    j, k = np.divmod(abstraction_pairs(src[live], dst[live], block_of, m), m)
+    j, k = blocks[j], blocks[k]
+    heads, to, at = d.src[j], d.dst[k], d.time[k]
+    early = np.flatnonzero(at < d.time[j])
     if len(early):
-        raise TemporalInvariantError(f"exit at {at[early[0]]} precedes its entry at {entered[early[0]]}")
+        raise TemporalInvariantError(f"exit at {at[early[0]]} precedes its entry at {d.time[j][early[0]]}")
     cross = to != heads
     return [np.concatenate((c[kept], x[cross])) for c, x in zip((d.src, d.dst, d.time), (heads, to, at))]
-
-
-def _close(reach: dict[int, set[int]], run: list[tuple[int, int]]) -> None:
-    """``reach[s] |= reach[t]`` over the inner contacts (s, t) of one instant to a fixed point.
-
-    Sets only grow, and each pass that grows one carries it at least one hop
-    further along the instant's inner contacts, so the passes end.
-    """
-    grew = True
-    while grew:
-        grew = False
-        for s, t in run:
-            if t in reach:
-                found = reach.setdefault(s, set())
-                size = len(found)
-                found |= reach[t]
-                grew |= len(found) != size
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
     """Bypass every layer of the dropped vertices; read arcs back as contacts.
 
-    The whole set is bypassed at once, by one descending-time sweep (see
+    The whole set is bypassed at once by one ``abstraction_pairs`` call (see
     ``_detour_columns``).  Folding single-vertex detours is a different
     (noncommuting) operation, so sequencing matters to callers who do it.
     """
