@@ -226,14 +226,15 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     if exits.any() and entries.any():
         pos = np.cumsum(block_of < 0) - 1  # a dropped vertex's index among the dropped
         inner = (bs < 0) & (bd < 0)
-        label = scc_labels(int(pos[-1]) + 1, pos[src[inner]], pos[dst[inner]])
+        tails, heads = pos[src[inner]], pos[dst[inner]]
+        label = scc_labels(int(pos[-1]) + 1, tails, heads)
         reach: list[set | None] = [None] * (int(label.max()) + 1)
         for c, k in zip(label[pos[src[exits]]].tolist(), bd[exits].tolist()):
             if reach[c] is None:
                 reach[c] = {k}
             else:
                 reach[c].add(k)
-        cs, cd = label[pos[src[inner]]], label[pos[dst[inner]]]
+        cs, cd = label[tails], label[heads]
         between = cs != cd
         cs, cd = cs[between], cd[between]
         order = np.argsort(cs, kind="stable")
