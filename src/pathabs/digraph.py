@@ -179,11 +179,13 @@ def _columns(arcs: Mapping[tuple[int, int], object]) -> tuple[np.ndarray, np.nda
 
 
 def pair_order(src: np.ndarray, dst: np.ndarray, time: np.ndarray | None = None) -> np.ndarray:
-    """A sort order of int64 rows by (src, dst), stable, or then by ``time``.
+    """The sort order of int64 rows by (src, dst), stable, or by (src, dst, time).
 
     Ids that all lie in [0, 2**31) sort as one int64 key src·(top + 1) + dst,
     which sorts in about half the time of a ``lexsort`` on the two columns.
-    A quicksort on ``time`` goes first, in 0.6 times a float ``lexsort`` key.
+    With ``time``, a quicksort on it goes first and the stable id sort second,
+    in about 0.6 times a ``lexsort`` with the float key; rows equal in all
+    three columns may come in either order.
     """
     top = int(max(src.max(initial=0), dst.max(initial=0)))
     if top < 2**31 and min(src.min(initial=0), dst.min(initial=0)) >= 0:
