@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -59,7 +60,8 @@ class Digraph:
     dict from (tail, head) to value, and the read-only columns ``src`` and ``dst``
     (int64, ordered by (src, dst), no repeats) with the aligned ``values`` (an
     object array, no zero values).  The constructor takes the dict and checks it;
-    the readers and boolean ``path_abstract`` build the columns through ``_of``.
+    the readers, contraction, boolean ``path_abstract`` and the boolean set
+    bypasses build the columns through ``_summed`` or ``_of``.
     """
 
     vertices: frozenset[int]
@@ -102,6 +104,33 @@ class Digraph:
             column.flags.writeable = False
         vars(d).update(vertices=vertices, src=src, dst=dst, values=values, semiring=semiring, merged=merged)
         return d
+
+    @classmethod
+    def _summed(cls, vertices, src, dst, values, semiring, merged, zeros: bool = False) -> "Digraph":
+        """A digraph from arc columns in any order, repeats allowed, but no loops and no end
+        outside ``vertices``: nothing else is checked.
+
+        The one rule for repeated arcs: after a stable sort by (src, dst), each run of
+        repeats is semiring-added in column order, and sums that are zero are dropped.
+        ``zeros`` says that an input value may itself be zero, so every value is tested.
+        """
+        order = pair_order(src, dst)
+        src, dst, values = src[order], dst[order], values[order]
+        fresh = np.ones(len(src), dtype=bool)  # the first arc of each run of repeats
+        fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        repeats = not fresh.all()
+        if repeats:  # semiring-add each run longer than one, in column order
+            starts = np.flatnonzero(fresh)
+            stops = np.append(starts[1:], len(src))
+            runs = np.flatnonzero(stops - starts > 1)
+            sums = values[starts]
+            for j, a, b in zip(runs.tolist(), starts[runs].tolist(), stops[runs].tolist()):
+                sums[j] = reduce(semiring.add, values[a:b])
+            src, dst, values = src[fresh], dst[fresh], sums
+        if semiring.is_zero and (zeros or repeats):
+            nonzero = ~np.fromiter(map(semiring.is_zero, values), dtype=bool, count=len(values))
+            src, dst, values = src[nonzero], dst[nonzero], values[nonzero]
+        return cls._of(vertices, src, dst, values, semiring, merged)
 
     @staticmethod
     def build(
@@ -198,18 +227,20 @@ def pair_order(src: np.ndarray, dst: np.ndarray, time: np.ndarray | None = None)
     return order[np.lexsort([key[order] for key in keys])]
 
 
-def add_arc_value(acc: dict, key: tuple[int, int], value, semiring: SemiringSpec) -> None:
-    """Accumulate a value into an arc map under the semiring addition."""
-    if key in acc:
-        acc[key] = semiring.add(acc[key], value)
-    else:
-        acc[key] = value
+def vertex_ids(vertices: frozenset[int]) -> np.ndarray | None:
+    """The vertices ascending as an int64 column, or None when they are 1..n (see ``positions``)."""
+    n = len(vertices)
+    if not n or min(vertices) == 1 and max(vertices) == n:  # n distinct ints from 1 to n are 1..n
+        return None
+    try:
+        return np.fromiter(sorted(vertices), dtype=np.int64, count=n)
+    except OverflowError:
+        raise DigraphError(f"vertex ids must fit in int64 here, got {max(vertices, key=abs)}") from None
 
 
-def _normalized(acc: dict, semiring: SemiringSpec) -> dict:
-    if semiring.is_zero is None:
-        return acc
-    return {k: v for k, v in acc.items() if not semiring.is_zero(v)}
+def positions(ids: np.ndarray | None, ends: np.ndarray) -> np.ndarray:
+    """The index of each id of ``ends`` among the ascending ``vertex_ids``: id - 1 on 1..n."""
+    return ends - 1 if ids is None else np.searchsorted(ids, ends)
 
 
 def induced_subgraph(d: Digraph, keep: Iterable[int]) -> Digraph:
@@ -226,39 +257,41 @@ def delete_vertices(d: Digraph, drop: Iterable[int]) -> Digraph:
     return induced_subgraph(d, d.vertices - frozenset(drop))
 
 
-def contract_blocks(d: Digraph, blocks: Sequence[Iterable[int]]) -> Digraph:
-    """Merge each block into one vertex named by its smallest member.
-
-    Arc values into/out of a block are semiring sums over members;
-    block-internal arcs vanish (looplessness).  Blocks must be pairwise
-    disjoint; applying them in any order, or one at a time, gives the same
-    result.
-    """
+def contracted_ends(vertices: frozenset[int], blocks: Sequence[Iterable[int]], src, dst) -> tuple:
+    """Both lanes' contraction map: the blocks, nonempty, inside ``vertices`` and disjoint, as
+    frozensets; the vertex set once each block is its smallest member; and the int64 ends
+    ``src`` and ``dst`` re-addressed to it, through a column of representatives at the
+    ``vertex_ids`` indices that one scatter of all members fills."""
     norm: list[frozenset[int]] = []
     for b in blocks:
         members = frozenset(int(m) for m in b)
         if not members:
             raise DigraphError("a vertex block must be nonempty")
-        extra = members - d.vertices
-        if extra:
-            raise DigraphError(f"block member(s) {sorted(extra)} out of range")
+        if not members <= vertices:
+            raise DigraphError(f"block member(s) {sorted(members - vertices)} out of range")
         norm.append(members)
-    seen: set[int] = set()
-    for members in norm:
-        if members & seen:
-            raise DigraphError("blocks must be pairwise disjoint")
-        seen |= members
-    vmap = {v: v for v in d.vertices}
-    for members in norm:
-        rep = min(members)
-        for m in members:
-            vmap[m] = rep
-    acc: dict[tuple[int, int], object] = {}
-    for (x, y) in sorted(d.arcs):
-        nx, ny = vmap[x], vmap[y]
-        if nx == ny:
-            continue
-        add_arc_value(acc, (nx, ny), d.arcs[(x, y)], d.semiring)
+    sizes = [len(members) for members in norm]
+    if sum(sizes) > len(frozenset().union(*norm)):
+        raise DigraphError("blocks must be pairwise disjoint")
+    ids = vertex_ids(vertices)
+    rep = np.arange(1, len(vertices) + 1) if ids is None else ids.copy()
+    reps = [min(members) for members in norm]
+    everyone = np.fromiter(chain.from_iterable(norm), dtype=np.int64, count=sum(sizes))
+    rep[positions(ids, everyone)] = np.repeat(np.array(reps, dtype=np.int64), sizes)
+    return norm, vertices.difference(*norm).union(reps), rep[positions(ids, src)], rep[positions(ids, dst)]
+
+
+def contract_blocks(d: Digraph, blocks: Sequence[Iterable[int]]) -> Digraph:
+    """Merge each block into one vertex named by its smallest member.
+
+    Arc values into/out of a block are semiring sums over members, added in
+    the ascending (tail, head) order of the arcs before the merge; zero sums
+    drop, and block-internal arcs vanish (looplessness).  Blocks must be
+    pairwise disjoint; applying them in any order, or one at a time, gives the
+    same result.
+    """
+    norm, vertices, src, dst = contracted_ends(d.vertices, blocks, d.src, d.dst)
+    cross = src != dst
     merged = dict(d.merged)
     for members in norm:
         rep = min(members)
@@ -268,8 +301,7 @@ def contract_blocks(d: Digraph, blocks: Sequence[Iterable[int]]) -> Digraph:
             merged.pop(m, None)
         if expanded != frozenset((rep,)):  # singleton blocks are identity merges
             merged[rep] = expanded
-    vertices = frozenset(vmap.values())
-    return Digraph(vertices, _normalized(acc, d.semiring), d.semiring, merged)
+    return Digraph._summed(vertices, src[cross], dst[cross], d.values[cross], d.semiring, merged)
 
 
 def classify_vertex(d: Digraph, v: int) -> NeighborClassification:

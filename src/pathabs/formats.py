@@ -1,10 +1,11 @@
 """Text formats: digraphs as edge lists, CSV or JSON; labelings, partitions, contact CSV.
 
-The three digraph readers share one assembly, which hands the ``Digraph`` its
-arcs as sorted columns, and the writers format from the columns, so a digraph
-read and written again never builds its arc dict.  Every arc value goes through
-its semiring's ``parse_value``; duplicate arcs are semiring-added, which is
-how multigraphs are written, and zero sums are dropped.  A loop, or an arc
+The three digraph readers share one assembly, which checks the arc columns and
+hands them to ``Digraph._summed``, and the writers format from the columns, so
+a digraph read and written again never builds its arc dict.  Every arc value
+goes through its semiring's ``parse_value``; duplicate arcs are semiring-added
+in file order by the summing rule in ``digraph``, which is how multigraphs are
+written, and zero sums are dropped.  A loop, or an arc
 outside a declared vertex set, is a ``ParseError`` naming its line, row or
 arc.  With no declared set the vertices are 1..max over every endpoint
 named, zero-valued arcs included.  A range 1..n, declared by a count or
@@ -45,12 +46,11 @@ import io
 import json
 import warnings
 from bisect import bisect_left, bisect_right
-from functools import reduce
 from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .digraph import Digraph, pair_order
+from .digraph import Digraph
 from .partitions import Coloring, PartialPartition, PartitionError
 from .semirings import BOOLEAN, SemiringSpec, SemiringError, get_semiring
 from .temporal import DTCN, Contact, TemporalError
@@ -147,26 +147,10 @@ def _assemble(
             _refuse(rows)
             require_range(last, f"n {top}" if top == last else f"{unit} {rows[0][int(high.argmax())]}")
         declared = range(1, last + 1)
-    order = pair_order(u, v)  # stable: a repeated arc's values stay in file order
-    u, v = u[order], v[order]
     weighted = values is not None
-    values = values[order] if weighted else np.full(len(u), semiring.one, dtype=object)
-    fresh = np.ones(len(u), dtype=bool)  # the first arc of each run of repeats
-    fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    repeats = not fresh.all()
-    if repeats:  # semiring-add each run longer than one, in file order
-        starts = np.flatnonzero(fresh)
-        stops = np.append(starts[1:], len(u))
-        runs = np.flatnonzero(stops - starts > 1)
-        sums = values[starts]
-        for j, a, b in zip(runs.tolist(), starts[runs].tolist(), stops[runs].tolist()):
-            sums[j] = reduce(semiring.add, values[a:b])
-        u, v, values = u[fresh], v[fresh], sums
-    if semiring.is_zero and (weighted or repeats):
-        nonzero = ~np.fromiter(map(semiring.is_zero, values), dtype=bool, count=len(values))
-        u, v, values = u[nonzero], v[nonzero], values[nonzero]
-    # valid by construction: the masks above refused loops and arcs leaving the vertex set
-    return Digraph._of(frozenset(declared), u, v, values, semiring, merged or {})
+    values = values if weighted else np.full(len(u), semiring.one, dtype=object)
+    # valid but for repeats and zeros: the masks above refused loops and arcs leaving the vertex set
+    return Digraph._summed(frozenset(declared), u, v, values, semiring, merged or {}, zeros=weighted)
 
 
 def _assemble_rows(rows, semiring: SemiringSpec, unit: str, declared=None, top: int = 0, merged=None) -> Digraph:

@@ -21,7 +21,7 @@ Deleted vertices never cause renumbering: survivors keep their ids.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,8 +34,10 @@ from .digraph import (
     contract_blocks,
     delete_vertices,
     induced_subgraph,
+    positions,
     scc_labels,
     strongly_connected_components,
+    vertex_ids,
 )
 from .partitions import PartialPartition, PartitionError
 
@@ -62,36 +64,41 @@ def bypass(d: Digraph, v: int) -> Digraph:
     return delete_vertices(detour(d, v), [v])
 
 
-def _bypass_arcs(d: Digraph, vertices: Iterable[int]) -> tuple[list[int], dict]:
-    """The dropped vertices, ascending, and the survivors' arcs once they are bypassed.
+def _set_bypass(d: Digraph, vertices: Iterable[int], delete: bool) -> Digraph:
+    """Detour at every vertex of a set, then delete the set if ``delete``.
 
-    Boolean: the pairs ``abstraction_pairs`` joins, with a block per survivor, get one,
-    as ``detour`` writes; other survivor arcs keep their values."""
+    Boolean: the survivor arcs that touch no dropped vertex keep their values, and each
+    pair that ``abstraction_pairs`` joins, with a block per survivor, gets one, as ``detour``
+    writes: a pair that is also an arc sums to one.  Both go to ``Digraph._summed`` as columns."""
     vs = sorted(set(vertices))
     for v in vs:
         d.require_vertex(v)
+    survivors = d.vertices.difference(vs) if delete else d.vertices
+    merged = {v: m for v, m in d.merged.items() if v in survivors}
     if d.semiring.name != "boolean":
-        return vs, _fold_detours(d, vs)
-    # An object array hands out d's own int objects: the new keys share them.
-    kept = np.array(sorted(d.vertices.difference(vs)), dtype=object)
-    src, dst, block_of = _block_map(d, kept, np.arange(len(kept)), d.arcs)
+        return Digraph(survivors, _fold_detours(d, vs), d.semiring, merged)
+    kept = sorted(d.vertices.difference(vs))
+    src, dst, block_of = _block_map(d, kept, np.arange(len(kept)))
+    kept = np.array(kept, dtype=np.int64)
     touch = (block_of[src] < 0) | (block_of[dst] < 0)
-    arcs = dict(compress(d.arcs.items(), (~touch).tolist()))
     j, k = np.divmod(abstraction_pairs(src[touch], dst[touch], block_of, len(kept)), len(kept))
-    arcs.update(dict.fromkeys(zip(kept[j], kept[k]), d.semiring.one))
-    return vs, arcs
+    ones = np.full(len(j), d.semiring.one, dtype=object)
+    columns = ((d.src[~touch], kept[j]), (d.dst[~touch], kept[k]), (d.values[~touch], ones))
+    return Digraph._summed(survivors, *map(np.concatenate, columns), d.semiring, merged)
 
 
 def _fold_detours(d: Digraph, vs: list[int]) -> dict:
     """The survivors' arcs once each of ``vs`` is eliminated in turn, off the boolean semiring:
     each x -> v -> y, loops included, adds mu(x, v)·mu(v, v)*·mu(v, y) to (x, y), the algebraic
     path problem's elimination step, so the arcs are walk sums through ``vs`` in any order.
-    Successor and predecessor value maps are built once and rewired in place."""
+    Successor and predecessor value maps are built once and rewired in place.  The strong
+    components of ``vs`` are labelled once, at the first star that has no value."""
     s = d.semiring
     succ: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     pred: dict[int, dict[int, object]] = {v: {} for v in d.vertices}
     for (x, y), value in d.arcs.items():
         succ[x][y] = pred[y][x] = value
+    low: dict[int, int] = {}  # each dropped vertex's strong component's smallest member
     for v in vs:
         ps, ss = pred.pop(v), succ.pop(v)  # v stays isolated: nothing links to it again
         loop, _ = ss.pop(v, None), ps.pop(v, None)
@@ -101,7 +108,10 @@ def _fold_detours(d: Digraph, vs: list[int]) -> dict:
             del pred[y][v]
         if loop is not None:
             star = None if isinstance(loop, _Unbounded) else s.star(loop)
-            ps = {x: s.mul(a, _Unbounded({v}) if star is None else star) for x, a in ps.items()}
+            if star is None:
+                low = low or {m: min(c) for c in strongly_connected_components(induced_subgraph(d, vs)) for m in c}
+                star = _Unbounded(low[v])
+            ps = {x: s.mul(a, star) for x, a in ps.items()}
         for x, a in ps.items():
             for y, b in ss.items():
                 old, through = succ[x].get(y), s.mul(a, b)
@@ -110,19 +120,23 @@ def _fold_detours(d: Digraph, vs: list[int]) -> dict:
                 if value is None:
                     del succ[x][y], pred[y][x]
     arcs = {(x, y): value for x, ys in succ.items() for y, value in ys.items() if x != y}
-    pivots = frozenset().union(*(value for value in arcs.values() if isinstance(value, _Unbounded)))
-    if pivots:
-        cycle = min((c for c in strongly_connected_components(induced_subgraph(d, vs)) if c & pivots), key=min)
-        raise DigraphError(f"dropped vertices {{{', '.join(map(str, sorted(cycle)))}}} form a cycle on a route "
+    marks = [value.vertex for value in arcs.values() if isinstance(value, _Unbounded)]
+    if marks:
+        cycle = sorted(m for m, first in low.items() if first == min(marks))
+        raise DigraphError(f"dropped vertices {{{', '.join(map(str, cycle))}}} form a cycle on a route "
                            f"between survivors; on the {s.name} semiring the walk sum through them has no value")
     return arcs
 
 
-class _Unbounded(frozenset):
-    """A walk sum with no value, holding the pivots whose star had none; it absorbs sums and products."""
+class _Unbounded:
+    """A walk sum with no value, holding the smallest member of the dropped strong component of
+    a pivot whose star had none; it absorbs sums and products, and of two keeps the smaller."""
+
+    def __init__(self, vertex: int):
+        self.vertex = vertex
 
     def _absorb(self, other):
-        return _Unbounded(self | other if isinstance(other, _Unbounded) else self)
+        return other if isinstance(other, _Unbounded) and other.vertex < self.vertex else self
 
     __add__ = __radd__ = __mul__ = __rmul__ = _absorb
 
@@ -136,16 +150,12 @@ def detour_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     at v's turn; that is ``detour`` folded in any order unless a cycle of the set
     lies on a route between distinct survivors.  A walk sum with no value
     (a cycle on such a route on counting, a singular pivot on the reals) raises ``DigraphError``."""
-    _, arcs = _bypass_arcs(d, vertices)
-    return Digraph(d.vertices, arcs, d.semiring, dict(d.merged))
+    return _set_bypass(d, vertices, delete=False)
 
 
 def bypass_set(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Detour at every vertex of a set, then delete the set, in one pass."""
-    vs, arcs = _bypass_arcs(d, vertices)
-    survivors = d.vertices.difference(vs)
-    merged = {v: m for v, m in d.merged.items() if v in survivors}
-    return Digraph(survivors, arcs, d.semiring, merged)
+    return _set_bypass(d, vertices, delete=True)
 
 
 def naive_bypass(d: Digraph, vertices: Iterable[int]) -> Digraph:
@@ -268,32 +278,14 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     return ids[np.diff(ids, prepend=-1) != 0]
 
 
-def _block_map(d: Digraph, members, blocks: np.ndarray, arcs=None) -> tuple[np.ndarray, ...]:
-    """Arc tails and heads as indices into d's ascending vertex ids, and each index's block:
-    ``blocks[i]`` for vertex ``members[i]``, -1 for the rest.  The arcs are d's columns, or
-    the ``(tail, head)`` pairs of ``arcs`` in their order.  On ids 1..n the index is id - 1;
-    ids with gaps are sorted and searched."""
-    n = d.n
-    if not n or min(d.vertices) == 1 and max(d.vertices) == n:  # n distinct ints from 1 to n are 1..n
-        ids = None
-    else:
-        try:
-            ids = np.fromiter(sorted(d.vertices), dtype=np.int64, count=n)
-        except OverflowError:
-            raise DigraphError(f"vertex ids must fit in int64 here, got {max(d.vertices, key=abs)}") from None
-    if arcs is None:
-        src, dst = d.src, d.dst
-    else:
-        ends = np.fromiter(chain.from_iterable(arcs), dtype=np.int64, count=2 * len(arcs))
-        src, dst = ends[0::2], ends[1::2]
-    members = np.asarray(members, dtype=np.int64)
-    if ids is None:
-        src, dst, members = src - 1, dst - 1, members - 1
-    else:
-        src, dst, members = np.searchsorted(ids, src), np.searchsorted(ids, dst), np.searchsorted(ids, members)
-    block_of = np.full(n, -1, dtype=np.int64)
+def _block_map(d: Digraph, members, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """d's arc tails and heads as indices into its ascending vertex ids (``digraph.positions``),
+    and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest."""
+    ids = vertex_ids(d.vertices)
+    members = positions(ids, np.asarray(members, dtype=np.int64))
+    block_of = np.full(d.n, -1, dtype=np.int64)
     block_of[members] = blocks
-    return src, dst, block_of
+    return positions(ids, d.src), positions(ids, d.dst), block_of
 
 
 def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:

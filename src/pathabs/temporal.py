@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, pair_order
+from .digraph import Digraph, DigraphError, contracted_ends, pair_order
 from .pabstract import abstraction_pairs
 from .partitions import PartialPartition, PartitionError
 from .random import GnpModel, sample_arcs, trial_rng
@@ -236,26 +236,14 @@ def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
 
 
 def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
-    """Re-address contacts to block representatives; internal contacts drop."""
-    seen: set[int] = set()
-    members, mins = [], []
-    for b in blocks:
-        fs = frozenset(int(x) for x in b)
-        if not fs:
-            raise TemporalError("blocks must be nonempty")
-        if not fs <= d.vertices:
-            raise TemporalError(f"block {sorted(fs)} leaves the vertex set")
-        if fs & seen:
-            raise TemporalError("blocks must be pairwise disjoint")
-        seen |= fs
-        members += fs
-        mins += [min(fs)] * len(fs)
-    order = np.array(sorted(d.vertices), dtype=np.int64)
-    rep = order.copy()
-    rep[np.searchsorted(order, members)] = mins
-    src, dst = rep[np.searchsorted(order, d.src)], rep[np.searchsorted(order, d.dst)]
+    """Re-address contacts to block representatives, as ``digraph.contract_blocks`` does
+    arcs (``digraph.contracted_ends``); internal contacts drop."""
+    try:
+        _, vertices, src, dst = contracted_ends(d.vertices, blocks, d.src, d.dst)
+    except DigraphError as exc:
+        raise TemporalError(str(exc)) from exc
     cross = src != dst
-    return DTCN._of(frozenset(rep.tolist()), src[cross], dst[cross], d.time[cross])
+    return DTCN._of(vertices, src[cross], dst[cross], d.time[cross])
 
 
 def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:

@@ -1,13 +1,15 @@
 """Block contraction on both lanes against per-arc and per-contact oracles."""
 
 import random
+import re
 
 import pytest
 
-from pathabs import DTCN, Contact, Digraph, contract_blocks, dtcn_contract
+from pathabs import DTCN, Contact, Digraph, DigraphError, contract_blocks, dtcn_contract
 from pathabs.checks import _random_digraph as random_digraph
 from pathabs.digraph import delete_vertices
 from pathabs.semirings import REAL, REGISTRY
+from pathabs.temporal import TemporalError
 
 
 def _dict_contract(d, blocks):
@@ -107,3 +109,24 @@ def test_dtcn_contract_matches_the_per_contact_oracle(seed):
         vertices, triples = _contact_oracle(d, blocks)
         got = dtcn_contract(d, blocks)
         assert got.vertices == vertices and got.triples() == triples
+
+
+def test_dtcn_contract_refuses_ids_beyond_int64_as_a_temporal_error():
+    d = DTCN(frozenset({1, 2, 3, 2**64}), [Contact(1, 2, 0.5), Contact(2, 3, 0.7)])
+    with pytest.raises(TemporalError, match=f"^vertex ids must fit in int64 here, got {2**64}$"):
+        dtcn_contract(d, [{1, 2}])
+
+
+def test_both_lanes_check_blocks_alike():
+    # the static lane's wording on both lanes; every block is in range before any overlap counts
+    d = Digraph.build(4, [(1, 2), (2, 3), (3, 4)])
+    net = DTCN.build(4, [(1, 2, 0.5), (2, 3, 0.7), (3, 4, 0.9)])
+    for blocks, text in (
+        ([{1}, set()], "a vertex block must be nonempty"),
+        ([{1, 2}, {2, 3}, {5}], re.escape("block member(s) [5] out of range")),
+        ([{1, 2}, {2, 3}], "blocks must be pairwise disjoint"),
+    ):
+        with pytest.raises(DigraphError, match=f"^{text}$"):
+            contract_blocks(d, blocks)
+        with pytest.raises(TemporalError, match=f"^{text}$"):
+            dtcn_contract(net, blocks)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pathabs import Digraph, DigraphError, PartialPartition, bypass_set, contract_blocks, path_abstract
+from pathabs import Digraph, DigraphError, PartialPartition, bypass_set, contract_blocks, detour_set, path_abstract
 from pathabs.formats import parse_digraph, parse_digraph_csv, parse_digraph_json, serialize_digraph
 from pathabs.semirings import REGISTRY
 
@@ -153,6 +153,18 @@ def test_the_boolean_route_builds_no_arc_dict():
     assert "arcs" not in vars(d) and "arcs" not in vars(got)
     assert got.arcs == {(1, 4): 1, (1, 6): 1, (4, 1): 1, (6, 1): 1}
     assert d.arcs == dict.fromkeys([(1, 2), (2, 3), (3, 4), (3, 5), (4, 1), (5, 6), (6, 2), (7, 1)], 1)
+
+
+def test_contraction_and_boolean_set_bypasses_build_no_arc_dict():
+    d = parse_digraph("n 7\n6 2\n1 2\n2 3\n3 4\n4 1\n5 6\n3 5\n7 1\n")
+    for op, arg, text in (
+        (contract_blocks, [{1, 3}, {6, 7}], "vertices 1 2 4 5 6\n1 2\n1 4\n1 5\n2 1\n4 1\n5 6\n6 1\n6 2\n"),
+        (bypass_set, {2, 5}, "vertices 1 3 4 6 7\n1 3\n3 4\n3 6\n4 1\n6 3\n7 1\n"),
+        (detour_set, {2, 5}, "n 7\n1 3\n3 4\n3 6\n4 1\n6 3\n7 1\n"),
+    ):
+        got = op(d, arg)
+        assert serialize_digraph(got) == text
+        assert "arcs" not in vars(d) and "arcs" not in vars(got), op.__name__
 
 
 def test_a_hand_built_digraph_gets_its_columns_on_first_read():

@@ -27,7 +27,7 @@ from pathabs import (
     strongly_connected_components,
     transitive_reduction_dag,
 )
-from pathabs.digraph import delete_vertices
+from pathabs.digraph import delete_vertices, induced_subgraph
 from pathabs.pabstract import is_path_of, is_walk_of
 from pathabs.checks import _close_arcs, _or_refusal
 from pathabs.partitions import discrete_partition
@@ -461,11 +461,37 @@ def test_boolean_cores_refuse_ids_beyond_int64():
     for big in (2**63, -(2**63) - 1):
         d = Digraph(frozenset({1, 2, 3, big}), {(1, 2): 1, (2, 3): 1})
         blocks = PartialPartition(3, [{1}, {3}])
-        for op, arg in ((detour_set, [2]), (bypass_set, [2]), (path_abstract, blocks)):
+        for op, arg in ((detour_set, [2]), (bypass_set, [2]), (path_abstract, blocks), (contract_blocks, [{1, 2}])):
             with pytest.raises(DigraphError, match=f"^vertex ids must fit in int64 here, got {big}$"):
                 op(d, arg)
     top = Digraph(frozenset({1, 2, 2**63 - 1}), {(1, 2): 1, (2, 2**63 - 1): 1})
     assert bypass_set(top, [2]).arcs == {(1, 2**63 - 1): 1}
+
+
+def test_fold_refusal_memory_follows_the_fold():
+    # a counting refusal once grew a set of pivots with every sum and product it absorbed:
+    # 4.2 MiB here, where the fold itself needs under 1
+    from pathabs import COUNTING
+    from pathabs.random import GnpModel, sample_arcs, trial_rng
+
+    src, dst = sample_arcs(GnpModel(300, 2 / 300), trial_rng(1, 0))
+    d = Digraph.build(300, dict.fromkeys(zip((src + 1).tolist(), (dst + 1).tolist()), 1), COUNTING)
+    dropped = frozenset(range(31, 301))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DigraphError) as refusal:
+            bypass_set(d, dropped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refusal names the dropped strong component that holds 32, as it did before
+    cycle = next(c for c in strongly_connected_components(induced_subgraph(d, dropped)) if 32 in c)
+    assert len(cycle) == 146 and min(cycle) == 32
+    assert str(refusal.value) == (
+        f"dropped vertices {{{', '.join(map(str, sorted(cycle)))}}} form a cycle on a route between "
+        "survivors; on the counting semiring the walk sum through them has no value"
+    )
+    assert peak < 2 * 2**20
 
 
 def test_path_abstract_keys_are_the_inputs_ints():
