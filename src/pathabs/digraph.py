@@ -258,10 +258,12 @@ def delete_vertices(d: Digraph, drop: Iterable[int]) -> Digraph:
 
 
 def contracted_ends(vertices: frozenset[int], blocks: Sequence[Iterable[int]], src, dst) -> tuple:
-    """Both lanes' contraction map: the blocks, nonempty, inside ``vertices`` and disjoint, as
-    frozensets; the vertex set once each block is its smallest member; and the int64 ends
-    ``src`` and ``dst`` re-addressed to it, through a column of representatives at the
-    ``vertex_ids`` indices that one scatter of all members fills."""
+    """The contraction map of both lanes: the blocks as frozensets, the vertex set once each
+    block is its smallest member, and the int64 arc ends ``src`` and ``dst`` re-addressed to it.
+
+    Blocks must be nonempty, lie inside ``vertices`` and be pairwise disjoint.  One scatter
+    of all members writes each block's minimum into a column of representatives, which
+    holds each vertex at its ``vertex_ids`` index."""
     norm: list[frozenset[int]] = []
     for b in blocks:
         members = frozenset(int(m) for m in b)
