@@ -295,14 +295,10 @@ def contract_blocks(d: Digraph, blocks: Sequence[Iterable[int]]) -> Digraph:
     norm, vertices, src, dst = contracted_ends(d.vertices, blocks, d.src, d.dst)
     cross = src != dst
     merged = dict(d.merged)
-    for members in norm:
-        rep = min(members)
-        expanded: frozenset[int] = frozenset()
-        for m in members:
-            expanded |= d.members_of(m)
-            merged.pop(m, None)
-        if expanded != frozenset((rep,)):  # singleton blocks are identity merges
-            merged[rep] = expanded
+    for members in norm:  # a block expands only through the members merged earlier
+        expanded = members.union(*[merged.pop(m) for m in members & merged.keys()])
+        if len(expanded) > 1:  # singleton blocks are identity merges
+            merged[min(members)] = expanded
     return Digraph._summed(vertices, src[cross], dst[cross], d.values[cross], d.semiring, merged)
 
 

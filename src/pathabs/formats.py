@@ -2,7 +2,11 @@
 
 The three digraph readers share one assembly, which checks the arc columns and
 hands them to ``Digraph._summed``, and the writers format from the columns, so
-a digraph read and written again never builds its arc dict.  Every arc value
+a digraph read and written again never builds its arc dict.  The contact
+writer formats each distinct vertex id and each distinct time once, taking
+distinct times by their float64 bit pattern so that -0.0 and 0.0 keep their
+own texts, and gathers the rows from those texts, as the boolean edge-list
+writer does with vertex ids.  Every arc value
 goes through its semiring's ``parse_value``; duplicate arcs are semiring-added
 in file order by the summing rule in ``digraph``, which is how multigraphs are
 written, and zero sums are dropped.  A loop, or an arc
@@ -341,6 +345,15 @@ def serialize_digraph(d: Digraph, fmt: str = "edgelist", compact_ids: bool = Fal
     return writers[fmt](_maybe_compact(d, compact_ids))
 
 
+def _joined(*columns: tuple[np.ndarray, np.ndarray]) -> str:
+    """Rows of cells joined in one pass: column j of row i is ``texts[index[i]]`` of the
+    j-th (texts, index) pair, each text a formatted value with its separator."""
+    cells = np.empty(len(columns) * len(columns[0][1]), dtype=object)
+    for j, (texts, index) in enumerate(columns):
+        cells[j :: len(columns)] = texts[index]
+    return "".join(cells.tolist())
+
+
 def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
@@ -351,10 +364,9 @@ def _to_edgelist(d: Digraph) -> str:
         # the vertices from the least to the largest arc end: int64, as the columns are
         named = order[bisect_left(order, int(ends.min(initial=0))) : bisect_right(order, int(ends.max(initial=0)))]
         ids = np.array(named, dtype=np.int64)
-        cells = np.empty(len(ends), dtype=object)
-        cells[0::2] = np.array([f"{v} " for v in named], dtype=object)[np.searchsorted(ids, src)]
-        cells[1::2] = np.array([f"{v}\n" for v in named], dtype=object)[np.searchsorted(ids, dst)]
-        return head + "".join(cells.tolist())
+        tails = np.array([f"{v} " for v in named], dtype=object)
+        heads = np.array([f"{v}\n" for v in named], dtype=object)
+        return head + _joined((tails, np.searchsorted(ids, src)), (heads, np.searchsorted(ids, dst)))
     value = d.semiring.format_value
     rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
     return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
@@ -500,5 +512,15 @@ def _raise_row_error(rows) -> None:
 
 
 def serialize_contacts(d: DTCN) -> str:
-    rows = zip(d.src.tolist(), d.dst.tolist(), d.time.tolist())
-    return "source,target,time\n" + "".join([f"{s},{t},{tau!r}\n" for s, t, tau in rows])
+    """The header "source,target,time", then one row "source,target,repr(time)" per contact.
+
+    Each distinct id and each distinct time is formatted once, and the rows
+    gather those texts by index.  Distinct times are taken by their float64
+    bit pattern, so -0.0 and 0.0 each keep their own text.
+    """
+    m = len(d.src)
+    ids, ends = np.unique(np.concatenate([d.src, d.dst]), return_inverse=True)
+    bits, at = np.unique(d.time.view(np.int64), return_inverse=True)
+    named = np.array([f"{v}," for v in ids.tolist()], dtype=object)
+    times = np.array([f"{tau!r}\n" for tau in bits.view(np.float64).tolist()], dtype=object)
+    return "source,target,time\n" + _joined((named, ends[:m]), (named, ends[m:]), (times, at))
