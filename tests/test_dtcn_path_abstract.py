@@ -110,3 +110,15 @@ def test_a_repeat_that_meets_both_zeros_agrees():
     d = DTCN(range(1, 6), [Contact(1, 2, -0.0), Contact(3, 4, 0.0), Contact(3, 5, 0.0), Contact(5, 4, -0.0)])
     for blocks in ([{1, 3}, {2, 4}], [{3, 1}, {4, 2}], [{1, 3}, {2, 4}, {5}]):
         _agrees(d, PartialPartition(5, blocks))
+
+
+def test_the_one_pass_equals_contract_after_detour_when_many_repeats_meet_both_zeros():
+    # enough rows that the sorts leave a run of repeats in an order of their own choosing
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        pairs = [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(5, 200))]
+        d = DTCN(range(1, n + 1), [Contact(x, y, rng.choice((0.0, -0.0, 0.5))) for x, y in pairs])
+        kept = rng.sample(range(1, n + 1), rng.randint(1, n))
+        cuts = sorted(rng.sample(range(1, len(kept) + 1), min(len(kept), rng.randint(1, 5))))
+        _agrees(d, PartialPartition(n, [set(kept[a:b]) for a, b in zip([0, *cuts], cuts) if kept[a:b]]))
