@@ -18,14 +18,16 @@ sentinels are never serialized.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, DigraphError, contracted_ends, pair_order
-from .pabstract import abstraction_pairs
+from .digraph import Digraph, DigraphError, contracted_ends, pair_order, positions, vertex_ids
+from .pabstract import _block_map, abstraction_pairs
 from .partitions import PartialPartition, PartitionError
 from .random import GnpModel, sample_arcs, trial_rng
 
@@ -39,6 +41,16 @@ class TemporalError(ValueError):
 
 class TemporalInvariantError(RuntimeError):
     """An impossible layered configuration; indicates a bug, not bad input."""
+
+
+@contextmanager
+def _temporal_errors():
+    """A ``DigraphError`` of the shared digraph helpers, such as a vertex id beyond int64,
+    raised again as a ``TemporalError``."""
+    try:
+        yield
+    except DigraphError as exc:
+        raise TemporalError(str(exc)) from exc
 
 
 @dataclass(frozen=True, order=True)
@@ -74,14 +86,23 @@ class DTCN:
 
     @classmethod
     def _of(cls, vertices: frozenset[int], src, dst, time) -> "DTCN":
-        """A network from unchecked columns in any order, repeats allowed."""
+        """A network from unchecked columns in any order, repeats allowed.
+
+        A run of repeats that mixes 0.0 and -0.0 keeps 0.0, so the result does
+        not depend on the order the columns come in.
+        """
         src, dst, time = np.asarray(src, "i8"), np.asarray(dst, "i8"), np.asarray(time, "f8")
         order = pair_order(src, dst, time)
         src, dst, time = src[order], dst[order], time[order]
         fresh = np.ones(len(src), dtype=bool)
         fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (time[1:] != time[:-1])
+        starts = np.flatnonzero(fresh)
+        if len(starts) < len(time):  # repeats differ at most in a zero's sign: AND-ed bits keep 0.0
+            time = np.bitwise_and.reduceat(time.view(np.int64), starts).view(np.float64)
+        else:
+            time = time[starts]
         d = cls.__new__(cls)
-        d.vertices, d.src, d.dst, d.time = vertices, src[fresh], dst[fresh], time[fresh]
+        d.vertices, d.src, d.dst, d.time = vertices, src[fresh], dst[fresh], time
         d.src.flags.writeable = d.dst.flags.writeable = d.time.flags.writeable = False
         return d
 
@@ -153,23 +174,27 @@ def build_temporal_digraph(d: DTCN) -> TemporalDigraph:
     return TemporalDigraph(layers, frozenset(zip(heads, tails)), temporal)
 
 
-def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
-    """Cross-vertex arcs of the layered digraph after bypassing drop's layers.
+def _detour_columns(d: DTCN, from_drop: np.ndarray, to_drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-vertex arcs of the layered digraph after bypassing the dropped layers.
 
-    Survivor-to-survivor contacts stay.  The rest go to ``abstraction_pairs``
-    as the layered digraph of the dropped layers: a node per (dropped vertex,
-    time) at which a contact arrives, an arc to its vertex's next node, and a
-    contact leaving w at t leaves w's latest node at or before t (no contact
-    enters the layers between), or is dead.  Inner contacts are arcs; an entry
-    or exit contact is a block with one arc to its head's node or from its
-    tail's.  A pair (entry j, exit k) reads back as (source j, target k, time
-    k).  The columns returned may repeat a contact.
+    ``from_drop`` and ``to_drop`` mark the contacts whose tail and head are
+    dropped.  Survivor-to-survivor contacts stay.  The rest go to
+    ``abstraction_pairs`` as the layered digraph of the dropped layers: a node
+    per (dropped vertex, time) at which a contact arrives, an arc to its
+    vertex's next node, and a contact leaving w at t leaves w's latest node at
+    or before t (no contact enters the layers between), or is dead.  Inner
+    contacts are arcs; an entry or exit contact is a block with one arc to its
+    head's node or from its tail's.  A pair (entry j, exit k) reads back as
+    (source j, target k, time k).
+
+    The result is two index columns (i, k): each arc is the contact
+    (``d.src[i]``, ``d.dst[k]``, ``d.time[k]``).  They may repeat an arc, and
+    a read-back pair may join a vertex to itself, which callers drop.
     """
-    from_drop, to_drop = np.isin(np.stack((d.src, d.dst)), list(drop))
-    kept = ~(from_drop | to_drop)
+    kept = np.flatnonzero(~(from_drop | to_drop))
     arrive, leave = np.flatnonzero(to_drop), np.flatnonzero(from_drop)
     if not len(arrive) or not len(leave):
-        return [d.src[kept], d.dst[kept], d.time[kept]]
+        return kept, kept
     # events by (vertex, time): a quicksort on time, then a stable sort on the vertex
     vertex, time = np.concatenate((d.dst[arrive], d.src[leave])), d.time[np.concatenate((arrive, leave))]
     order = np.argsort(time)
@@ -185,24 +210,22 @@ def _detour_columns(d: DTCN, drop: frozenset[int]) -> list[np.ndarray]:
     node[(node < 0) | (at_node[node] != vertex)] = -1  # leaves before its vertex's first arrival
     node[order] = node.copy()
     # an entry or exit contact is a block, vertex n + its index; every swept contact is one arc
-    n, outer = len(at_node), to_drop != from_drop
+    n, outer, swept = len(at_node), to_drop != from_drop, from_drop | to_drop
     blocks = np.flatnonzero(outer)
     tail = n - 1 + np.cumsum(outer)
     head = tail.copy()
     head[arrive], tail[leave] = node[: len(arrive)], node[len(arrive) :]
     fiber = np.flatnonzero(at_node[1:] == at_node[:-1])
-    src, dst = np.concatenate((fiber, tail[~kept])), np.concatenate((fiber + 1, head[~kept]))
+    src, dst = np.concatenate((fiber, tail[swept])), np.concatenate((fiber + 1, head[swept]))
     live = src >= 0
     m = len(blocks)
     block_of = np.concatenate((np.full(n, -1), np.arange(m)))
     j, k = np.divmod(abstraction_pairs(src[live], dst[live], block_of, m), m)
     j, k = blocks[j], blocks[k]
-    heads, to, at = d.src[j], d.dst[k], d.time[k]
-    early = np.flatnonzero(at < d.time[j])
+    early = np.flatnonzero(d.time[k] < d.time[j])
     if len(early):
-        raise TemporalInvariantError(f"exit at {at[early[0]]} precedes its entry at {d.time[j][early[0]]}")
-    cross = to != heads
-    return [np.concatenate((c[kept], x[cross])) for c, x in zip((d.src, d.dst, d.time), (heads, to, at))]
+        raise TemporalInvariantError(f"exit at {d.time[k][early[0]]} precedes its entry at {d.time[j][early[0]]}")
+    return np.concatenate((kept, j)), np.concatenate((kept, k))
 
 
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
@@ -216,7 +239,14 @@ def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
     extra = drop_set - d.vertices
     if extra:
         raise TemporalError(f"vertices {sorted(extra)} are not in the network")
-    return DTCN._of(d.vertices - drop_set, *_detour_columns(d, drop_set))
+    with _temporal_errors():
+        ids = vertex_ids(d.vertices)
+    dropped = np.zeros(d.n, dtype=bool)
+    dropped[positions(ids, np.fromiter(drop_set, dtype=np.int64, count=len(drop_set)))] = True
+    i, k = _detour_columns(d, dropped[positions(ids, d.src)], dropped[positions(ids, d.dst)])
+    src, dst = d.src[i], d.dst[k]
+    cross = src != dst
+    return DTCN._of(d.vertices - drop_set, src[cross], dst[cross], d.time[k[cross]])
 
 
 def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
@@ -238,19 +268,31 @@ def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
 def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
     """Re-address contacts to block representatives, as ``digraph.contract_blocks`` does
     arcs (``digraph.contracted_ends``); internal contacts drop."""
-    try:
+    with _temporal_errors():
         _, vertices, src, dst = contracted_ends(d.vertices, blocks, d.src, d.dst)
-    except DigraphError as exc:
-        raise TemporalError(str(exc)) from exc
     cross = src != dst
     return DTCN._of(vertices, src[cross], dst[cross], d.time[cross])
 
 
 def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:
-    """Detour everything outside the support, then contract the blocks."""
+    """Detour everything outside the support, then contract the blocks, in one pass.
+
+    One block map of d's vertex positions (``pabstract._block_map``) marks the
+    dropped contact ends for ``_detour_columns``, and maps the kept contacts and
+    the read-back pairs to block representatives; contacts inside a block drop,
+    and one sort builds the result.  It equals
+    ``dtcn_contract(dtcn_detour(d, outside), blocks)``.
+    """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
-    return dtcn_contract(dtcn_detour(d, d.vertices - p.support), list(p.blocks))
+    members = np.fromiter(chain.from_iterable(p.blocks), dtype=np.int64)
+    with _temporal_errors():
+        src, dst, block_of = _block_map(d, members, np.repeat(np.arange(len(p.blocks)), [len(b) for b in p.blocks]))
+    i, k = _detour_columns(d, block_of[src] < 0, block_of[dst] < 0)
+    tails, heads = block_of[src[i]], block_of[dst[k]]
+    cross = tails != heads
+    rep = np.array([min(b) for b in p.blocks], dtype=np.int64)
+    return DTCN._of(frozenset(rep.tolist()), rep[tails[cross]], rep[heads[cross]], d.time[k[cross]])
 
 
 def sample_dtcn(n: int, p: float, mode: str, seed: int, max_retries: int = 0) -> DTCN:

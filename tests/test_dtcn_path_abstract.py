@@ -8,7 +8,7 @@ import pytest
 from pathabs import DTCN, Contact, PartialPartition
 from pathabs.checks import equal_time_network
 from pathabs.formats import serialize_contacts
-from pathabs.temporal import dtcn_contract, dtcn_detour, dtcn_path_abstract
+from pathabs.temporal import TemporalError, dtcn_contract, dtcn_detour, dtcn_path_abstract
 
 # a shared pool makes contacts meet at one instant; both zeros test the sign a repeat keeps
 _TIMES = [0.0, -0.0, 0.5, 1.0, -2.5, 5e-324]
@@ -122,3 +122,11 @@ def test_the_one_pass_equals_contract_after_detour_when_many_repeats_meet_both_z
         kept = rng.sample(range(1, n + 1), rng.randint(1, n))
         cuts = sorted(rng.sample(range(1, len(kept) + 1), min(len(kept), rng.randint(1, 5))))
         _agrees(d, PartialPartition(n, [set(kept[a:b]) for a, b in zip([0, *cuts], cuts) if kept[a:b]]))
+
+
+def test_the_detour_and_the_abstraction_refuse_ids_beyond_int64_as_a_temporal_error():
+    # as dtcn_contract and the static lane's cores do, even for an isolated vertex
+    d = DTCN(frozenset({1, 2, 3, 2**64}), [Contact(1, 2, 0.5), Contact(2, 3, 0.7)])
+    for op, arg in ((dtcn_detour, {2}), (dtcn_path_abstract, PartialPartition(3, [{1}, {3}]))):
+        with pytest.raises(TemporalError, match=f"^vertex ids must fit in int64 here, got {2**64}$"):
+            op(d, arg)
