@@ -44,7 +44,7 @@ from .partitions import (
     refines,
 )
 from .semirings import BOOLEAN, COUNTING, REGISTRY, check_semiring_laws
-from .temporal import DTCN, build_temporal_digraph, dtcn_contract, dtcn_detour, sample_dtcn
+from .temporal import DTCN, build_temporal_digraph, dtcn_contract, dtcn_detour, dtcn_path_abstract, sample_dtcn
 from .weighted import detours_commute, double_detour, weighted_contract_commutes
 
 
@@ -331,6 +331,8 @@ def check_temporal_sizes(seed: int):
 
 
 def check_temporal_commutation(seed: int):
+    """Detour then contract equals contract then detour, and the one-pass path abstraction
+    whose blocks are the block and a singleton per other survivor equals both."""
     rng = _stdrandom.Random(seed)
     for t in range(50):
         d = sample_dtcn(7, 0.2, "uniform", seed + t, max_retries=5)
@@ -339,6 +341,9 @@ def check_temporal_commutation(seed: int):
         left = dtcn_contract(dtcn_detour(d, drop), [block])
         right = dtcn_detour(dtcn_contract(d, [block]), drop)
         _require(left == right, "temporal detour/contract do not commute")
+        singletons = [{v} for v in d.vertices - drop - block]
+        one_pass = dtcn_path_abstract(d, PartialPartition(d.n, [block, *singletons]))
+        _require(one_pass == left, "the one-pass temporal path abstraction differs from detour/contract")
 
 
 def layered_detour_oracle(d: DTCN, drop) -> set[tuple[int, int, float]]:
