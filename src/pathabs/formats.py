@@ -354,19 +354,24 @@ def _joined(*columns: tuple[np.ndarray, np.ndarray]) -> str:
     return "".join(cells.tolist())
 
 
+def _arc_ends(d: Digraph, order: list[int], after_tail: str, after_head: str) -> tuple:
+    """The (texts, index) columns of d's arc tails and heads for ``_joined``: each vertex of the
+    ascending ``order`` is formatted once as a tail, ``f"{v}{after_tail}"``, and once as a head."""
+    ends = np.concatenate([d.src, d.dst])
+    # the vertices from the least to the largest arc end: int64, as the columns are
+    named = order[bisect_left(order, int(ends.min(initial=0))) : bisect_right(order, int(ends.max(initial=0)))]
+    ids = np.array(named, dtype=np.int64)
+    tails = np.array([f"{v}{after_tail}" for v in named], dtype=object)
+    heads = tails if after_head == after_tail else np.array([f"{v}{after_head}" for v in named], dtype=object)
+    return (tails, np.searchsorted(ids, d.src)), (heads, np.searchsorted(ids, d.dst))
+
+
 def _to_edgelist(d: Digraph) -> str:
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
     head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
-    if d.semiring.name == "boolean":  # each vertex formatted once, as a tail and as a head
-        src, dst = d.src, d.dst
-        ends = np.concatenate([src, dst])
-        # the vertices from the least to the largest arc end: int64, as the columns are
-        named = order[bisect_left(order, int(ends.min(initial=0))) : bisect_right(order, int(ends.max(initial=0)))]
-        ids = np.array(named, dtype=np.int64)
-        tails = np.array([f"{v} " for v in named], dtype=object)
-        heads = np.array([f"{v}\n" for v in named], dtype=object)
-        return head + _joined((tails, np.searchsorted(ids, src)), (heads, np.searchsorted(ids, dst)))
+    if d.semiring.name == "boolean":
+        return head + _joined(*_arc_ends(d, order, " ", "\n"))
     value = d.semiring.format_value
     rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
     return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
@@ -390,18 +395,28 @@ def _to_csv(d: Digraph) -> str:
     """Arc rows, preceded by a vertex row per vertex unless the arcs imply the set.
 
     The arcs imply 1..max over their endpoints; isolated top vertices and
-    gaps left by deletions need the vertex rows.
+    gaps left by deletions need the vertex rows.  Each vertex is formatted
+    once as a tail and once as a head, each value as its semiring formats it
+    (``_csv_cell`` quotes a text that needs it), and ``_joined`` gathers the rows.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["from", "to", "value"])
     order = sorted(d.vertices)
     top = int(max(d.src.max(initial=0), d.dst.max(initial=0)))
-    if order != list(range(1, top + 1)):
-        writer.writerows([v, "", ""] for v in order)
-    value = d.semiring.format_value
-    writer.writerows(zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist())))
-    return out.getvalue()
+    implied = len(order) == top and (not order or order[0] == 1 and order[-1] == top)  # 1..top
+    head = "from,to,value\n" + ("" if implied else "".join([f"{v},,\n" for v in order]))
+    texts = list(map(d.semiring.format_value, d.values.tolist()))
+    joined = "".join(texts)  # the registered semirings' texts need no quotes: a scan of them all finds none
+    if any(c in joined for c in _CSV_SPECIAL):
+        texts = list(map(_csv_cell, texts))
+    values = np.array([f"{t}\n" for t in texts], dtype=object)
+    return head + _joined(*_arc_ends(d, order, ",", ","), (values, np.arange(len(values))))
+
+
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _csv_cell(text: str) -> str:
+    """A cell as RFC 4180 writes it: quoted, with its quotes doubled, if it holds a comma, a quote or a line end."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in _CSV_SPECIAL) else text
 
 
 def parse_labels(text: str) -> Coloring:

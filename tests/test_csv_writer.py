@@ -75,3 +75,20 @@ def test_the_writer_matches_the_csv_module_on_read_and_abstracted_digraphs():
     _same_bytes(Digraph.build(0))
     _same_bytes(Digraph.build(3, [(1, 2), (2, 3)]))  # the arcs imply 1..3: no vertex rows
     _same_bytes(Digraph(frozenset({1, 2, 3}), {}))
+
+
+def test_an_arc_to_the_largest_int64_id_is_written_without_listing_the_range():
+    # the vertex rows were decided by comparing with list(range(1, top + 1))
+    d = Digraph(frozenset({1, 2**63 - 1}), {(1, 2**63 - 1): 1})
+    assert serialize_digraph(d, "csv") == f"from,to,value\n1,,\n{2**63 - 1},,\n1,{2**63 - 1},1\n"
+    assert parse_digraph_csv(serialize_digraph(d, "csv")) == d
+
+
+def test_a_value_text_that_needs_quotes_is_quoted_as_the_csv_module_does():
+    from dataclasses import replace
+
+    from pathabs.semirings import COUNTING
+
+    labelled = replace(COUNTING, format_value=lambda v: {1: "1", 2: 'a "b", c'}[v])
+    d = Digraph(frozenset({1, 2, 3}), {(1, 2): 1, (2, 3): 2}, labelled)
+    assert serialize_digraph(d, "csv") == _csv_module_writer(d) == 'from,to,value\n1,2,1\n2,3,"a ""b"", c"\n'
