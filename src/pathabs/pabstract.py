@@ -10,11 +10,15 @@ the bypassed digraph.
 A path abstraction bypasses everything outside a partial partition's support
 and merges its blocks.  ``abstraction_pairs`` is the one core that computes it,
 on arc arrays: ``path_abstract`` wraps it for a ``Digraph``, the Monte Carlo in
-``random`` calls it per trial, ``temporal.dtcn_detour`` on a layered digraph,
+``random`` calls it per trial, ``temporal.dtcn_detour`` and
+``temporal.dtcn_path_abstract`` on a layered digraph (``temporal._detour_columns``),
 and on the boolean semiring ``detour_set`` and ``bypass_set`` call it with
 each survivor its own block, since a bypass is the path abstraction that
 merges nothing.  Other semirings eliminate the dropped vertices one at a time
-with the semiring's star, which sums the walks through them.
+with the semiring's star, which sums the walks through them.  ``_block_map``
+gives the one block map of vertex positions that ``path_abstract``, the
+boolean set bypasses and ``temporal.dtcn_path_abstract`` build from: one block
+map, one core call and one build, and for the temporal lane one sort.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
 """
@@ -278,9 +282,12 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     return ids[np.diff(ids, prepend=-1) != 0]
 
 
-def _block_map(d: Digraph, members, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+def _block_map(d, members, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     """d's arc tails and heads as indices into its ascending vertex ids (``digraph.positions``),
-    and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest."""
+    and each index's block: ``blocks[i]`` for vertex ``members[i]``, -1 for the rest.
+
+    It reads only d's ``vertices``, ``n``, ``src`` and ``dst``, so d is a ``Digraph`` or a
+    ``temporal.DTCN``, whose contacts are its arcs."""
     ids = vertex_ids(d.vertices)
     members = positions(ids, np.asarray(members, dtype=np.int64))
     block_of = np.full(d.n, -1, dtype=np.int64)

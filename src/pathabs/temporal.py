@@ -9,8 +9,11 @@ network are ordinary paths there.
 Detouring a vertex set bypasses all of its layers inside the layered digraph
 and reads each surviving cross-vertex arc back as a contact stamped with the
 later of its two layer times: a path abstraction, by the static lane's core
-``pabstract.abstraction_pairs`` (see ``_detour_columns``).  The layered
-digraph itself is built only for inspection and as the test oracle.
+``pabstract.abstraction_pairs`` (see ``_detour_columns``).  The path
+abstraction ``dtcn_path_abstract`` does it as the static ``path_abstract``
+does: one block map, one core call, one sort; it equals ``dtcn_contract``
+after ``dtcn_detour``.  The layered digraph itself is built only for
+inspection and as the test oracle.
 Sentinel times are the IEEE infinities; contact times must be finite and
 sentinels are never serialized.
 """
@@ -285,9 +288,9 @@ def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:
     """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
-    members = np.fromiter(chain.from_iterable(p.blocks), dtype=np.int64)
-    with _temporal_errors():
-        src, dst, block_of = _block_map(d, members, np.repeat(np.arange(len(p.blocks)), [len(b) for b in p.blocks]))
+    blocks = np.repeat(np.arange(len(p.blocks)), [len(b) for b in p.blocks])
+    with _temporal_errors():  # d's ids are checked before the members are made int64
+        src, dst, block_of = _block_map(d, list(chain.from_iterable(p.blocks)), blocks)
     i, k = _detour_columns(d, block_of[src] < 0, block_of[dst] < 0)
     tails, heads = block_of[src[i]], block_of[dst[k]]
     cross = tails != heads

@@ -105,11 +105,14 @@ def test_the_one_pass_equals_contract_after_detour_on_the_benchmark_shape():
         _agrees(d, PartialPartition(n, [set(kept[j : j + 2]) for j in range(0, len(kept), 2)]))
 
 
-def test_a_repeat_that_meets_both_zeros_agrees():
+def test_a_repeat_that_meets_both_zeros_keeps_zero():
     # (1, 2, -0.0) and (3, 4, 0.0) both become (1, 2, 0) once {1, 3} and {2, 4} merge
     d = DTCN(range(1, 6), [Contact(1, 2, -0.0), Contact(3, 4, 0.0), Contact(3, 5, 0.0), Contact(5, 4, -0.0)])
-    for blocks in ([{1, 3}, {2, 4}], [{3, 1}, {4, 2}], [{1, 3}, {2, 4}, {5}]):
-        _agrees(d, PartialPartition(5, blocks))
+    p = PartialPartition(5, [{1, 3}, {2, 4}])
+    _agrees(d, p)
+    assert serialize_contacts(dtcn_path_abstract(d, p)) == "source,target,time\n1,2,0.0\n"
+    # a -0.0 met by no 0.0 keeps its sign
+    assert serialize_contacts(dtcn_detour(d, {3})) == "source,target,time\n1,2,-0.0\n5,4,-0.0\n"
 
 
 def test_the_one_pass_equals_contract_after_detour_when_many_repeats_meet_both_zeros():
@@ -127,6 +130,10 @@ def test_the_one_pass_equals_contract_after_detour_when_many_repeats_meet_both_z
 def test_the_detour_and_the_abstraction_refuse_ids_beyond_int64_as_a_temporal_error():
     # as dtcn_contract and the static lane's cores do, even for an isolated vertex
     d = DTCN(frozenset({1, 2, 3, 2**64}), [Contact(1, 2, 0.5), Contact(2, 3, 0.7)])
-    for op, arg in ((dtcn_detour, {2}), (dtcn_path_abstract, PartialPartition(3, [{1}, {3}]))):
+    for op, arg in (
+        (dtcn_detour, {2}),
+        (dtcn_path_abstract, PartialPartition(3, [{1}, {3}])),
+        (dtcn_path_abstract, PartialPartition(2**64, [{1}, {2**64}])),
+    ):
         with pytest.raises(TemporalError, match=f"^vertex ids must fit in int64 here, got {2**64}$"):
             op(d, arg)
