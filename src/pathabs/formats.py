@@ -6,7 +6,7 @@ a digraph read and written again never builds its arc dict.  The contact
 writer formats each distinct vertex id and each distinct time once, taking
 distinct times by their float64 bit pattern so that -0.0 and 0.0 keep their
 own texts, and gathers the rows from those texts, as the boolean edge-list
-writer does with vertex ids.  Every arc value
+writer and the CSV writer do with vertex ids.  Every arc value
 goes through its semiring's ``parse_value``; duplicate arcs are semiring-added
 in file order by the summing rule in ``digraph``, which is how multigraphs are
 written, and zero sums are dropped.  A loop, or an arc
