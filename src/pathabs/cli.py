@@ -9,8 +9,8 @@ take ``--graph`` and ``--semiring``; the file suffix picks the reader
 (``.json``, ``.csv``, otherwise edge list), so every ``--output-format`` reads
 back.  Those that write a digraph take ``--output-format`` and
 ``--compact-ids``.  Those that draw random numbers (``rand mc``, ``rand scc``,
-``dtcn sample``, ``check``) take ``--seed``, which the PATHABS_SEED
-environment variable overrides.  All but ``check`` take ``--output``.
+``dtcn sample``, ``check``) take ``--seed``, a nonnegative integer, which
+the PATHABS_SEED environment variable overrides.  All but ``check`` take ``--output``.
 """
 
 from __future__ import annotations
@@ -65,17 +65,21 @@ def _add_graph_output(p: argparse.ArgumentParser):
 
 
 def _add_seed(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="overridden by PATHABS_SEED")
+    p.add_argument("--seed", type=int, default=0, help="a nonnegative integer; overridden by PATHABS_SEED")
 
 
 def _seed(args) -> int:
     env = os.environ.get("PATHABS_SEED")
     if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"PATHABS_SEED must be an integer, got {env!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        try:
+            seed, source = int(env), "PATHABS_SEED"
+        except ValueError:
+            raise CliError(f"PATHABS_SEED must be a nonnegative integer, got {env!r}") from None
+    if seed < 0:
+        raise CliError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _emit(text: str, args) -> None:

@@ -16,7 +16,7 @@ to one fewer composition of the survival map than the dropped-vertex count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -216,10 +216,12 @@ class AbstractionFrequencies:
     the ids ``j*m + k`` of the ordered block pairs that some trial's
     abstraction had, ascending, in ``pairs``, and the number of trials that
     had each in ``pair_counts``; both are read-only, and their size follows
-    the pairs observed, not m².  ``pair_frequency`` maps every ordered pair of
-    representatives, zero-count pairs included, to ``count / trials``; it is
-    built on first read and cached.  Equality compares the fields, tally
-    included, and never the cache.
+    the pairs observed, not m².  The tally is built on first read of either
+    array from ``trial_pairs``, each trial's sorted pair ids, which it then
+    drops (the field reads None afterwards).  ``pair_frequency`` maps every
+    ordered pair of representatives, zero-count pairs included, to
+    ``count / trials``; it is built on first read too.  Equality compares the
+    fields and the tally, which it builds, and never ``trial_pairs``.
     """
 
     model: GnpModel
@@ -228,8 +230,7 @@ class AbstractionFrequencies:
     mean: float
     stddev: float
     representatives: tuple[int, ...]
-    pairs: np.ndarray
-    pair_counts: np.ndarray
+    trial_pairs: Optional[tuple[np.ndarray, ...]] = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, AbstractionFrequencies):
@@ -241,8 +242,29 @@ class AbstractionFrequencies:
             and np.array_equal(self.pair_counts, other.pair_counts)
         )
 
+    def __repr__(self):
+        head = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"AbstractionFrequencies({head}, pairs={self.pairs!r}, pair_counts={self.pair_counts!r})"
+
     def standard_error(self) -> float:
         return self.stddev / math.sqrt(self.trials)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Ascending ids j*m + k of the block pairs some trial had; sets ``pair_counts`` too."""
+        trial_pairs = self.trial_pairs
+        if trial_pairs is None:  # another thread built the tally first
+            return self.__dict__["pairs"]
+        pairs, counts = np.unique(np.concatenate(trial_pairs), return_counts=True)
+        pairs.flags.writeable = counts.flags.writeable = False
+        self.__dict__.update(pairs=pairs, pair_counts=counts, trial_pairs=None)
+        return pairs
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
+        """Number of trials that had each block pair in ``pairs``."""
+        self.pairs  # builds both arrays
+        return self.__dict__["pair_counts"]
 
     @cached_property
     def pair_frequency(self) -> dict[tuple[int, int], float]:
@@ -271,10 +293,14 @@ def monte_carlo_abstraction(
     """Sample the model, path-abstract each draw, record arc frequencies.
 
     Each trial draws its arcs with ``sample_arcs`` and abstracts them with
-    ``pabstract.abstraction_pairs``, the core ``path_abstract`` runs, so time and memory follow the arc count, not n².
-    Per-trial generators depend only on (seed, trial index), so any execution
-    order or worker count reproduces identical results; aggregation is by
-    trial index.
+    ``pabstract.abstraction_pairs``, the core ``path_abstract`` runs, so time
+    and memory follow the arc count, not n².  The frequencies, their mean and
+    standard deviation and the representatives are computed here; the
+    block-pair tally is left to the first read of ``pairs`` or
+    ``pair_counts``, so a caller that reads only the frequencies never sorts
+    the trials' pairs together.  Per-trial generators depend only on (seed,
+    trial index), so any execution order or worker count reproduces identical
+    results; aggregation is by trial index.
     """
     if trials < 1:
         raise RandomModelError("trials must be >= 1")
@@ -301,12 +327,10 @@ def monte_carlo_abstraction(
         results = [one_trial(t) for t in range(trials)]
 
     freqs = tuple(r[0] for r in results)
-    pairs, counts = np.unique(np.concatenate([r[1] for r in results]), return_counts=True)
-    pairs.flags.writeable = counts.flags.writeable = False
     mean = float(np.mean(freqs))
     std = float(np.std(freqs, ddof=1)) if trials > 1 else 0.0
     reps = tuple(min(b) for b in partition.blocks)
-    return AbstractionFrequencies(model, trials, freqs, mean, std, reps, pairs, counts)
+    return AbstractionFrequencies(model, trials, freqs, mean, std, reps, tuple(r[1] for r in results))
 
 
 # -- giant component and renormalization ------------------------------------

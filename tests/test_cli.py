@@ -306,6 +306,28 @@ def test_env_seed_override(capsys, monkeypatch):
     assert via_env == direct
 
 
+SEEDED_COMMANDS = {
+    "rand-mc": ["rand", "mc", "--n", "10", "--p", "0.1", "--trials", "2"],
+    "rand-scc": ["rand", "scc", "--n", "50", "--c", "2", "--trials", "1"],
+    "dtcn-sample": ["dtcn", "sample", "--n", "5", "--p", "0.1"],
+    "check": ["check"],
+}
+
+
+@pytest.mark.parametrize("via", ["--seed", "PATHABS_SEED"])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_a_negative_seed_exits_1(capsys, monkeypatch, command, via):
+    argv = SEEDED_COMMANDS[command]
+    if via == "--seed":
+        argv = argv + ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("PATHABS_SEED", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{via} must be a nonnegative integer, got -1" in err
+    assert "internal error" not in err
+
+
 def test_rand_mc_deterministic(capsys):
     args = ["rand", "mc", "--n", "30", "--p", "0.1", "--trials", "5", "--drop", "3", "--seed", "2"]
     code, first, err1 = run_cli(capsys, *args)

@@ -6,6 +6,9 @@ built cannot change a value, a dtype or a read-only flag unnoticed.
 """
 
 import hashlib
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -133,3 +136,56 @@ def test_monte_carlo_equality_whether_or_not_the_tally_was_read(shape):
     assert run(workers=2) == read
     assert read == run(workers=2)
     assert run() == run(workers=2)
+
+
+@pytest.mark.parametrize("first", ["pairs", "pair_counts"])
+def test_monte_carlo_builds_the_tally_on_first_read_and_drops_the_trial_arrays(first):
+    model, pi, trials, seed, _ = SHAPES["blocks-1-to-3"]
+    out = monte_carlo_abstraction(model, pi, trials, seed)
+    assert "pairs" not in vars(out) and "pair_counts" not in vars(out)
+    assert len(out.trial_pairs) == trials
+    assert all(a.dtype == np.int64 and np.all(a[1:] > a[:-1]) for a in out.trial_pairs)
+    held = [weakref.ref(a) for a in out.trial_pairs]
+    tally = getattr(out, first)
+    assert "pairs" in vars(out) and "pair_counts" in vars(out)  # either read builds both
+    assert out.pairs is out.pairs and out.pair_counts is out.pair_counts and getattr(out, first) is tally
+    for array in (out.pairs, out.pair_counts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    assert out.trial_pairs is None
+    assert all(ref() is None for ref in held)
+    assert "trial_pairs" not in repr(out)
+    assert out == monte_carlo_abstraction(model, pi, trials, seed)
+
+
+def test_monte_carlo_tally_read_from_many_threads_at_once():
+    model, pi, trials, seed, _ = SHAPES["blocks-1-to-3"]
+    expected = monte_carlo_abstraction(model, pi, trials, seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            out = monte_carlo_abstraction(model, pi, trials, seed)
+            start = threading.Barrier(8)
+            seen, errors = [], []
+
+            def read(name):
+                start.wait(timeout=10)
+                try:
+                    seen.append((name, getattr(out, name)))
+                except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(("pairs", "pair_counts")[i % 2],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            assert len(seen) == 8
+            for name, array in seen:
+                assert np.array_equal(array, getattr(expected, name))
+            assert out.trial_pairs is None and out == expected
+    finally:
+        sys.setswitchinterval(interval)
