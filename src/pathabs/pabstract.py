@@ -220,35 +220,43 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     an arc to block k != j when a member of j reaches a member of k directly
     or through dropped vertices only; the temporal lane's blocks are single
     entry and exit contacts of a layered digraph (``temporal._detour_columns``).
-    The dropped subgraph is condensed with ``scc_labels`` (Purdom, BIT 10,
-    1970; Nuutila, 1995).  A component holds the set of blocks it reaches, or
-    None for none; in ascending label order, arcs between components running
-    to lower labels, it unions in its successors' sets, pointing to its first
-    successor's when it has none of its own and copying only when a second
-    writes.  An entry arc from block j into a component yields j -> k for every
-    k in its set, and only entered components are decoded.  Time is linear in
-    the arcs plus the set elements copied, unioned and decoded; memory in the
-    arcs plus the sets held, a dead component costing one list slot: 10⁶
-    dropped vertices off every route peak at 41 MiB, a 40,184-contact
-    detour at 12 MiB.
+    Each arc gets one kind, from whether its tail and its head are dropped:
+    between blocks, entry, exit or inner; one stable sort by kind lays the
+    four groups end to end, each in input order, and every later step reads
+    its group as a slice.  The dropped subgraph, the inner arcs, is condensed
+    with ``scc_labels`` (Purdom, BIT 10, 1970; Nuutila, 1995).  A component
+    holds the set of blocks it reaches, or None for none; in ascending label
+    order, arcs between components running to lower labels, it unions in its
+    successors' sets, pointing to its first successor's when it has none of
+    its own and copying only when a second writes.  The entry arcs are sorted
+    by (component, block) and each distinct pair is kept once, so a block with
+    several arcs into one component decodes its set once: entry (c, j) yields
+    j -> k for every k in c's set, and only entered components are decoded.
+    Time is linear in the arcs plus the set elements copied, unioned and
+    decoded; memory in the arcs plus the sets held, a dead component costing
+    one list slot: 10⁶ dropped vertices off every route peak at 41 MiB, a
+    40,184-contact detour at 12 MiB.
     """
     bs, bd = block_of[src], block_of[dst]
-    direct = (bs >= 0) & (bd >= 0) & (bs != bd)
-    ids = [bs[direct] * m + bd[direct]]
-    exits = (bs < 0) & (bd >= 0)
-    entries = (bs >= 0) & (bd < 0)
-    if exits.any() and entries.any():
+    # one stable sort by kind: arcs [:e] join two blocks, [e:x] enter the dropped set,
+    # [x:i] leave it and [i:] lie inside it, each group in input order
+    kind = (bs < 0).view(np.int8) * np.int8(2)
+    kind += bd < 0
+    order = np.argsort(kind, kind="stable")
+    e, x, i = np.searchsorted(kind[order], (1, 2, 3)).tolist()
+    bs, bd = bs[order], bd[order]
+    ids = [(bs[:e] * m + bd[:e])[bs[:e] != bd[:e]]]
+    if e < x < i:
         pos = np.cumsum(block_of < 0) - 1  # a dropped vertex's index among the dropped
-        inner = (bs < 0) & (bd < 0)
-        tails, heads = pos[src[inner]], pos[dst[inner]]
-        label = scc_labels(int(pos[-1]) + 1, tails, heads)
+        tails, heads = pos[src[order[x:]]], pos[dst[order[e:]]]  # exits then inner, entries then inner
+        label = scc_labels(int(pos[-1]) + 1, tails[i - x :], heads[i - e :])
         reach: list[set | None] = [None] * (int(label.max()) + 1)
-        for c, k in zip(label[pos[src[exits]]].tolist(), bd[exits].tolist()):
+        for c, k in zip(label[tails[: i - x]].tolist(), bd[x:i].tolist()):
             if reach[c] is None:
                 reach[c] = {k}
             else:
                 reach[c].add(k)
-        cs, cd = label[tails], label[heads]
+        cs, cd = label[tails[i - x :]], label[heads[i - e :]]
         between = cs != cd
         cs, cd = cs[between], cd[between]
         order = np.argsort(cs, kind="stable")
@@ -265,21 +273,30 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
                 borrowed.remove(c)
             else:
                 mine |= found
-        into = label[pos[dst[entries]]]
-        entered = np.zeros(len(reach), dtype=bool)
-        entered[into] = True
-        sets = [reach[c] or () for c in np.flatnonzero(entered).tolist()]
+        # each (component, block) entry once, in component order
+        entry = np.sort(label[heads[: x - e]] * m + bs[e:x])
+        into, j = np.divmod(entry[_starts(entry)], m)
+        new = _starts(into)
+        sets = [reach[c] or () for c in into[new].tolist()]
         size = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-        at = np.cumsum(entered)[into] - 1
-        count = size[at]  # entry e copies its component's set from the entered sets laid end to end
+        at = np.cumsum(new) - 1
+        count = size[at]  # each entry copies its component's set from the entered sets laid end to end
         flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(size.sum()))
         k = flat[np.repeat(np.cumsum(size)[at] - np.cumsum(count), count) + np.arange(count.sum())]
-        j = np.repeat(bs[entries], count)
-        ids.append(j[k != j] * m + k[k != j])
-    # np.unique by one sort and a neighbour test (ids are >= 0): numpy 2's
+        j = np.repeat(j, count)
+        ids.append((j * m + k)[k != j])
+    # np.unique by one sort and a neighbour test: numpy 2's
     # hash-based np.unique is about fifteen times slower on a few thousand ids.
     ids = np.sort(np.concatenate(ids))
-    return ids[np.diff(ids, prepend=-1) != 0]
+    return ids[_starts(ids)]
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Where a sorted array's runs of equal values start."""
+    start = np.empty(len(a), dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return start
 
 
 def _block_map(d, members, blocks: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -218,6 +218,9 @@ def test_scc_statistics_reject_bad_models():
             strong_connectivity_rate_mc(n, p, trials=2, seed=0)
     with pytest.raises(RandomModelError):
         largest_scc_fraction_mc(10, 2.0, trials=0, seed=0)
+    for n, c in [(10, 20.0), (1, 2.0), (10, -1.0), (10, float("nan"))]:
+        with pytest.raises(RandomModelError, match=r"^c must lie in \[0, n\]"):
+            largest_scc_fraction_mc(n, c, trials=1, seed=0)
     with pytest.raises(RandomModelError):
         strong_connectivity_rate_mc(10, 0.5, trials=0, seed=0)
 
@@ -440,6 +443,23 @@ def test_abstraction_pairs_memory_on_a_monte_carlo_draw():
     assert len(got) == 56_445
     assert digest == "095775b2ec6c7e78dafe64d9393b96d73d65118a0b2ab5e436e5324d0a6b0224"
     assert peak < 32 * 2**20, peak
+
+
+def test_abstraction_pairs_expands_each_entered_block_once():
+    # 30,000 vertices, c=2, 300 blocks of 10: a block's several arcs into the dropped
+    # giant must decode the giant's set once, not once per arc
+    n, m = 30_000, 300
+    block_of = np.full(n, -1, dtype=np.int64)
+    block_of[: 10 * m] = np.arange(10 * m) // 10
+    src, dst = sample_arcs(GnpModel(n, 2 / n), trial_rng(1, 0))
+    tracemalloc.start()
+    try:
+        got = abstraction_pairs(src, dst, block_of, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == m * (m - 1)  # the giant reaches every block from every block
+    assert peak < 64 * 2**20, peak
 
 
 def _bisect_oracle(c):
