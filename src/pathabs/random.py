@@ -390,6 +390,8 @@ def largest_scc_fraction_mc(n: int, c: float, trials: int, seed: int) -> float:
     """Monte Carlo mean of the largest strong-component fraction at density c/n."""
     if n < 1:
         raise RandomModelError("n must be >= 1")
+    if not 0 <= c <= n:  # p = c/n must be a probability
+        raise RandomModelError(f"c must lie in [0, n] = [0, {n}], got {c}")
     model = GnpModel(n, c / n)
     total = 0.0
     for labels in _scc_labels_per_trial(model, trials, seed):

@@ -399,6 +399,17 @@ def test_rand_scc_rejects_bad_model(capsys, argv):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("n, c", [("10", "20"), ("1", "2")])
+def test_rand_scc_names_c_when_it_exceeds_n(capsys, n, c):
+    code, out, err = run_cli(capsys, "rand", "scc", "--n", n, "--c", c, "--trials", "1")
+    assert (code, out) == (1, "")
+    assert f"c must lie in [0, n] = [0, {n}]" in err
+    # without trials only the prediction is printed, as before
+    code, out, _ = run_cli(capsys, "rand", "scc", "--n", n, "--c", c, "--trials", "0")
+    assert code == 0
+    assert out.startswith("predicted_fraction ") and "\n" not in out.rstrip("\n")
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "detour", "--graph", str(tmp_path / "missing"), "--vertex", "1")
     assert code == 1
