@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import formats, pabstract, temporal, vabstract
 from . import random as randdg
-from .digraph import DigraphError, contract_blocks, enumerate_paths
+from .digraph import DigraphError, contract_blocks, enumerate_paths, vertex_ids
 from .partitions import PartialPartition, PartitionError, partition_from_labels
 from .semirings import SemiringError, get_semiring
 from .temporal import TemporalError
@@ -168,7 +168,8 @@ def _cmd_pabstract(args):
         pi = formats.parse_partition(_read(args.partition), n=max(d.vertices, default=0))
     elif args.labels and args.keep_colors is not None:
         coloring = formats.parse_labels(_read(args.labels))
-        vabstract.ColoredDigraph.from_coloring(d, coloring)  # labels must cover exactly 1..n
+        if coloring.n != d.n or vertex_ids(d.vertices) is not None:  # labels must cover exactly 1..n
+            raise PartitionError("coloring length must match a digraph on 1..n")
         pi = partition_from_labels(coloring, _int_list(args.keep_colors))
     else:
         raise CliError("pass --partition, or --labels with --keep-colors")

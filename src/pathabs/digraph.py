@@ -9,7 +9,6 @@ records block membership so results stay comparable across operation orders.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -116,8 +115,7 @@ class Digraph:
         """
         order = pair_order(src, dst)
         src, dst, values = src[order], dst[order], values[order]
-        fresh = np.ones(len(src), dtype=bool)  # the first arc of each run of repeats
-        fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        fresh = _starts(src, dst)  # the first arc of each run of repeats
         repeats = not fresh.all()
         if repeats:  # semiring-add each run longer than one, in column order
             starts = np.flatnonzero(fresh)
@@ -225,6 +223,17 @@ def pair_order(src: np.ndarray, dst: np.ndarray, time: np.ndarray | None = None)
         return np.lexsort(keys)
     order = np.argsort(time)
     return order[np.lexsort([key[order] for key in keys])]
+
+
+def _starts(*columns: np.ndarray) -> np.ndarray:
+    """Where the runs of equal rows of sorted aligned columns start."""
+    first, *rest = columns
+    start = np.empty(len(first), dtype=bool)
+    start[:1] = True
+    np.not_equal(first[1:], first[:-1], out=start[1:])
+    for column in rest:
+        start[1:] |= column[1:] != column[:-1]
+    return start
 
 
 def vertex_ids(vertices: frozenset[int]) -> np.ndarray | None:
@@ -499,42 +508,24 @@ def _tarjan(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
+def _component_labels(d: Digraph) -> np.ndarray:
+    """``scc_labels`` of d's vertices in ascending id order, read through ``positions``."""
+    ids = vertex_ids(d.vertices)
+    return scc_labels(d.n, positions(ids, d.src), positions(ids, d.dst))
+
+
 def strongly_connected_components(d: Digraph) -> list[frozenset[int]]:
     """Strong components from ``scc_labels``, sorted by smallest member."""
-    ids = sorted(d.vertices)
-    pos = {v: i for i, v in enumerate(ids)}
-    src = np.fromiter((pos[x] for x, _ in d.arcs), dtype=np.int64, count=len(d.arcs))
-    dst = np.fromiter((pos[y] for _, y in d.arcs), dtype=np.int64, count=len(d.arcs))
     groups: dict[int, list[int]] = {}
     # Ascending ids meet the components in the order of their smallest members.
-    for v, comp in zip(ids, scc_labels(len(ids), src, dst).tolist()):
+    for v, comp in zip(sorted(d.vertices), _component_labels(d).tolist()):
         groups.setdefault(comp, []).append(v)
     return [frozenset(g) for g in groups.values()]
 
 
 def is_acyclic(d: Digraph) -> bool:
-    return all(len(c) == 1 for c in strongly_connected_components(d))
-
-
-def topological_order(d: Digraph) -> list[int]:
-    """Kahn's algorithm with ascending tie-break; raises on cycles."""
-    adj = d.adjacency()
-    indeg = {v: 0 for v in d.vertices}
-    for _, y in d.arcs:
-        indeg[y] += 1
-    ready = [v for v in d.vertices if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != len(d.vertices):
-        raise CyclicGraphError("digraph has a cycle")
-    return order
+    """Every strong component is one vertex: the labels, numbered contiguously, number n."""
+    return int(_component_labels(d).max(initial=-1)) + 1 == d.n
 
 
 def reachability(d: Digraph) -> dict[int, frozenset[int]]:
@@ -648,11 +639,16 @@ def count_walks_dag(d: Digraph, x: int, y: int) -> int:
     """Number of walks from x to y, counting arc values as multiplicities.
 
     Finite because the digraph must be acyclic; the trivial walk makes
-    the count 1 when x == y.
+    the count 1 when x == y.  Vertices are taken in descending ``scc_labels`` label,
+    a topological order; two sharing a label lie on a cycle, which raises ``CyclicGraphError``.
     """
     d.require_vertex(x)
     d.require_vertex(y)
-    order = topological_order(d)  # raises on cycles
+    label = _component_labels(d)
+    if int(label.max(initial=-1)) + 1 < d.n:
+        raise CyclicGraphError("digraph has a cycle")
+    ids = sorted(d.vertices)
+    order = [ids[i] for i in np.argsort(label)[::-1].tolist()]
     adj = d.adjacency()
     ways = {v: 0 for v in d.vertices}
     ways[x] = 1

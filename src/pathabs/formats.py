@@ -367,14 +367,15 @@ def _arc_ends(d: Digraph, order: list[int], after_tail: str, after_head: str) ->
 
 
 def _to_edgelist(d: Digraph) -> str:
+    """An "n" or "vertices" header, then one row "tail head" per arc, or "tail head value"
+    off the boolean semiring, each value as its semiring formats it; ``_joined`` gathers the rows."""
     order = sorted(d.vertices)
     dense = order == list(range(1, len(order) + 1))
     head = f"n {len(order)}\n" if dense else "vertices " + " ".join(map(str, order)) + "\n"
     if d.semiring.name == "boolean":
         return head + _joined(*_arc_ends(d, order, " ", "\n"))
-    value = d.semiring.format_value
-    rows = zip(d.src.tolist(), d.dst.tolist(), map(value, d.values.tolist()))
-    return head + "".join([f"{x} {y} {w}\n" for x, y, w in rows])
+    values = np.array([f"{t}\n" for t in map(d.semiring.format_value, d.values.tolist())], dtype=object)
+    return head + _joined(*_arc_ends(d, order, " ", " "), (values, np.arange(len(values))))
 
 
 def _to_json(d: Digraph) -> str:

@@ -15,9 +15,11 @@ on arc arrays: ``path_abstract`` wraps it for a ``Digraph``, the Monte Carlo in
 and on the boolean semiring ``detour_set`` and ``bypass_set`` call it with
 each survivor its own block, since a bypass is the path abstraction that
 merges nothing.  Other semirings eliminate the dropped vertices one at a time
-with the semiring's star, which sums the walks through them.  ``_block_map``
-gives the one block map of vertex positions that ``path_abstract``, the
-boolean set bypasses and ``temporal.dtcn_path_abstract`` build from: one block
+with the semiring's star, which sums the walks through them.  ``_block_columns``
+turns a partition's blocks into members, block indices and representatives for
+``path_abstract``, ``temporal.dtcn_path_abstract`` and the Monte Carlo, and
+``_block_map`` gives the one block map of vertex positions that ``path_abstract``,
+the boolean set bypasses and both temporal operations build from: one block
 map, one core call and one build, and for the temporal lane one sort.
 
 Deleted vertices never cause renumbering: survivors keep their ids.
@@ -34,6 +36,7 @@ import numpy as np
 from .digraph import (
     Digraph,
     DigraphError,
+    _starts,
     classify_vertex,
     contract_blocks,
     delete_vertices,
@@ -291,12 +294,12 @@ def abstraction_pairs(src: np.ndarray, dst: np.ndarray, block_of: np.ndarray, m:
     return ids[_starts(ids)]
 
 
-def _starts(a: np.ndarray) -> np.ndarray:
-    """Where a sorted array's runs of equal values start."""
-    start = np.empty(len(a), dtype=bool)
-    start[:1] = True
-    np.not_equal(a[1:], a[:-1], out=start[1:])
-    return start
+def _block_columns(blocks: Sequence[frozenset[int]]) -> tuple[list[int], np.ndarray, list[int]]:
+    """A partition's blocks as the members end to end, each member's block index and each
+    block's smallest member, its representative.  The members stay Python ints, so that
+    ``_block_map`` names an id beyond int64 as ``digraph.vertex_ids`` does."""
+    members = list(chain.from_iterable(blocks))
+    return members, np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]), [min(b) for b in blocks]
 
 
 def _block_map(d, members, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -330,11 +333,9 @@ def path_abstract(d: Digraph, p: PartialPartition) -> Digraph:
         raise PartitionError("partition support must lie inside the vertex set")
     if d.semiring.name != "boolean":
         return bypass_set(contract_blocks(d, p.blocks), d.vertices - p.support)
-    m = len(p.blocks)
-    members = np.fromiter(chain.from_iterable(p.blocks), dtype=np.int64)
-    src, dst, block_of = _block_map(d, members, np.repeat(np.arange(m), [len(b) for b in p.blocks]))
-    reps = [min(block) for block in p.blocks]
-    j, k = np.divmod(abstraction_pairs(src, dst, block_of, m), m)
+    members, index, reps = _block_columns(p.blocks)
+    src, dst, block_of = _block_map(d, members, index)
+    j, k = np.divmod(abstraction_pairs(src, dst, block_of, len(reps)), len(reps))
     rep = np.array(reps, dtype=np.int64)
     blocks = p.blocks if not d.merged else [frozenset().union(*map(d.members_of, b)) for b in p.blocks]
     merged = {r: ms for r, ms in zip(reps, blocks) if ms != {r}}  # singletons are identity merges

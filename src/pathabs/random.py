@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .digraph import Digraph, scc_labels
-from .pabstract import abstraction_pairs
+from .pabstract import _block_columns, abstraction_pairs
 from .partitions import PartialPartition
 
 
@@ -309,9 +308,9 @@ def monte_carlo_abstraction(
     m = len(partition.blocks)
     if m < 2:
         raise RandomModelError("need at least two blocks for arc frequencies")
+    members, index, reps = _block_columns(partition.blocks)
     block_of = np.full(model.n, -1, dtype=np.int64)
-    members = np.fromiter(chain.from_iterable(partition.blocks), dtype=np.int64)
-    block_of[members - 1] = np.repeat(np.arange(m), [len(b) for b in partition.blocks])
+    block_of[np.array(members, dtype=np.int64) - 1] = index
 
     def one_trial(t: int) -> tuple[float, np.ndarray]:
         """Frequency and sorted block-pair ids j*m + k of one abstraction."""
@@ -329,8 +328,7 @@ def monte_carlo_abstraction(
     freqs = tuple(r[0] for r in results)
     mean = float(np.mean(freqs))
     std = float(np.std(freqs, ddof=1)) if trials > 1 else 0.0
-    reps = tuple(min(b) for b in partition.blocks)
-    return AbstractionFrequencies(model, trials, freqs, mean, std, reps, tuple(r[1] for r in results))
+    return AbstractionFrequencies(model, trials, freqs, mean, std, tuple(reps), tuple(r[1] for r in results))
 
 
 # -- giant component and renormalization ------------------------------------

@@ -9,11 +9,12 @@ network are ordinary paths there.
 Detouring a vertex set bypasses all of its layers inside the layered digraph
 and reads each surviving cross-vertex arc back as a contact stamped with the
 later of its two layer times: a path abstraction, by the static lane's core
-``pabstract.abstraction_pairs`` (see ``_detour_columns``).  The path
-abstraction ``dtcn_path_abstract`` does it as the static ``path_abstract``
-does: one block map, one core call, one sort; it equals ``dtcn_contract``
-after ``dtcn_detour``.  The layered digraph itself is built only for
-inspection and as the test oracle.
+``pabstract.abstraction_pairs`` (see ``_detour_columns``).  ``dtcn_detour``
+and ``dtcn_path_abstract`` run one body, ``_abstracted``, as the static
+``path_abstract`` does: one block map, one core call, one sort.  The detour
+keeps each survivor as its own block, and the abstraction equals
+``dtcn_contract`` after ``dtcn_detour``.  The layered digraph itself is built
+only for inspection and as the test oracle.
 Sentinel times are the IEEE infinities; contact times must be finite and
 sentinels are never serialized.
 """
@@ -24,13 +25,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, DigraphError, contracted_ends, pair_order, positions, vertex_ids
-from .pabstract import _block_map, abstraction_pairs
+from .digraph import Digraph, DigraphError, _starts, contracted_ends, pair_order
+from .pabstract import _block_columns, _block_map, abstraction_pairs
 from .partitions import PartialPartition, PartitionError
 from .random import GnpModel, sample_arcs, trial_rng
 
@@ -97,8 +97,7 @@ class DTCN:
         src, dst, time = np.asarray(src, "i8"), np.asarray(dst, "i8"), np.asarray(time, "f8")
         order = pair_order(src, dst, time)
         src, dst, time = src[order], dst[order], time[order]
-        fresh = np.ones(len(src), dtype=bool)
-        fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | (time[1:] != time[:-1])
+        fresh = _starts(src, dst, time)
         starts = np.flatnonzero(fresh)
         if len(starts) < len(time):  # repeats differ at most in a zero's sign: AND-ed bits keep 0.0
             time = np.bitwise_and.reduceat(time.view(np.int64), starts).view(np.float64)
@@ -203,8 +202,7 @@ def _detour_columns(d: DTCN, from_drop: np.ndarray, to_drop: np.ndarray) -> tupl
     order = np.argsort(time)
     order = order[np.argsort(vertex[order], kind="stable")]
     vertex, time = vertex[order], time[order]
-    first = np.ones(len(order), dtype=bool)  # the first event of its (vertex, time)
-    first[1:] = (vertex[1:] != vertex[:-1]) | (time[1:] != time[:-1])
+    first = _starts(vertex, time)  # the first event of its (vertex, time)
     group = np.cumsum(first) - 1
     arrived = np.zeros(group[-1] + 1, dtype=bool)  # the (vertex, time) groups that are nodes
     arrived[group[order < len(arrive)]] = True
@@ -234,22 +232,18 @@ def _detour_columns(d: DTCN, from_drop: np.ndarray, to_drop: np.ndarray) -> tupl
 def dtcn_detour(d: DTCN, drop: Iterable[int]) -> DTCN:
     """Bypass every layer of the dropped vertices; read arcs back as contacts.
 
-    The whole set is bypassed at once by one ``abstraction_pairs`` call (see
-    ``_detour_columns``).  Folding single-vertex detours is a different
-    (noncommuting) operation, so sequencing matters to callers who do it.
+    The temporal path abstraction with each survivor its own block, named by
+    itself (``_abstracted``): the whole set is bypassed at once by one
+    ``abstraction_pairs`` call (see ``_detour_columns``).  Folding
+    single-vertex detours is a different (noncommuting) operation, so
+    sequencing matters to callers who do it.
     """
     drop_set = frozenset(drop)
     extra = drop_set - d.vertices
     if extra:
         raise TemporalError(f"vertices {sorted(extra)} are not in the network")
-    with _temporal_errors():
-        ids = vertex_ids(d.vertices)
-    dropped = np.zeros(d.n, dtype=bool)
-    dropped[positions(ids, np.fromiter(drop_set, dtype=np.int64, count=len(drop_set)))] = True
-    i, k = _detour_columns(d, dropped[positions(ids, d.src)], dropped[positions(ids, d.dst)])
-    src, dst = d.src[i], d.dst[k]
-    cross = src != dst
-    return DTCN._of(d.vertices - drop_set, src[cross], dst[cross], d.time[k[cross]])
+    kept = list(d.vertices - drop_set)
+    return _abstracted(d, kept, np.arange(len(kept)), kept)
 
 
 def naive_dtcn_detour(d: DTCN, v: int) -> DTCN:
@@ -278,24 +272,28 @@ def dtcn_contract(d: DTCN, blocks: Sequence[Iterable[int]]) -> DTCN:
 
 
 def dtcn_path_abstract(d: DTCN, p: PartialPartition) -> DTCN:
-    """Detour everything outside the support, then contract the blocks, in one pass.
-
-    One block map of d's vertex positions (``pabstract._block_map``) marks the
-    dropped contact ends for ``_detour_columns``, and maps the kept contacts and
-    the read-back pairs to block representatives; contacts inside a block drop,
-    and one sort builds the result.  It equals
+    """Detour everything outside the support, then contract the blocks, in one pass:
+    ``_abstracted`` on the partition's blocks (``pabstract._block_columns``).  It equals
     ``dtcn_contract(dtcn_detour(d, outside), blocks)``.
     """
     if not p.support <= d.vertices:
         raise PartitionError("partition support must lie inside the vertex set")
-    blocks = np.repeat(np.arange(len(p.blocks)), [len(b) for b in p.blocks])
+    return _abstracted(d, *_block_columns(p.blocks))
+
+
+def _abstracted(d: DTCN, members: list[int], blocks: np.ndarray, reps: list[int]) -> DTCN:
+    """The path abstraction of d keeping ``members[i]`` in block ``blocks[i]``, named ``reps[j]``.
+
+    One block map of d's vertex positions (``pabstract._block_map``) marks the dropped contact
+    ends for ``_detour_columns`` and maps the kept contacts and the read-back pairs to block
+    representatives; contacts inside a block drop, and one sort builds the result."""
     with _temporal_errors():  # d's ids are checked before the members are made int64
-        src, dst, block_of = _block_map(d, list(chain.from_iterable(p.blocks)), blocks)
+        src, dst, block_of = _block_map(d, members, blocks)
     i, k = _detour_columns(d, block_of[src] < 0, block_of[dst] < 0)
     tails, heads = block_of[src[i]], block_of[dst[k]]
     cross = tails != heads
-    rep = np.array([min(b) for b in p.blocks], dtype=np.int64)
-    return DTCN._of(frozenset(rep.tolist()), rep[tails[cross]], rep[heads[cross]], d.time[k[cross]])
+    rep = np.array(reps, dtype=np.int64)
+    return DTCN._of(frozenset(reps), rep[tails[cross]], rep[heads[cross]], d.time[k[cross]])
 
 
 def sample_dtcn(n: int, p: float, mode: str, seed: int, max_retries: int = 0) -> DTCN:
@@ -306,12 +304,14 @@ def sample_dtcn(n: int, p: float, mode: str, seed: int, max_retries: int = 0) ->
     total and that many ordered pairs with replacement, which is the law of
     independent Poisson(p) counts per pair.  Both have p*n*(n-1) expected
     contacts, and time and memory are linear in the contact count.  An empty
-    draw raises unless retries remain.
+    draw raises unless retries remain; ``max_retries`` must be nonnegative.
     """
     if not 0.0 <= p <= 1.0:
         raise TemporalError("p must lie in [0, 1]")
     if mode not in ("uniform", "poisson"):
         raise TemporalError(f"unknown mode {mode!r}; use uniform or poisson")
+    if max_retries < 0:
+        raise TemporalError(f"max_retries must be >= 0, got {max_retries}")
     model = GnpModel(n, p)
     for attempt in range(max_retries + 1):
         rng = trial_rng(seed, attempt)

@@ -306,6 +306,22 @@ def test_env_seed_override(capsys, monkeypatch):
     assert via_env == direct
 
 
+def test_dtcn_sample_refuses_negative_retries(capsys):
+    code, out, err = run_cli(capsys, "dtcn", "sample", "--n", "5", "--p", "0.5", "--max-retries", "-1")
+    assert (code, out) == (1, "")
+    assert "max_retries must be >= 0, got -1" in err
+    assert "sampled an empty contact network" not in err
+
+
+def test_dtcn_sample_with_zero_retries_draws_once(capsys):
+    default = run_cli(capsys, "dtcn", "sample", "--n", "5", "--p", "0.5", "--seed", "3")
+    assert default[0] == 0 and default[1].startswith("source,target,time\n")
+    assert run_cli(capsys, "dtcn", "sample", "--n", "5", "--p", "0.5", "--seed", "3", "--max-retries", "0") == default
+    code, out, err = run_cli(capsys, "dtcn", "sample", "--n", "5", "--p", "0.0", "--max-retries", "0")
+    assert (code, out) == (1, "")
+    assert "sampled an empty contact network (p=0.0)" in err
+
+
 SEEDED_COMMANDS = {
     "rand-mc": ["rand", "mc", "--n", "10", "--p", "0.1", "--trials", "2"],
     "rand-scc": ["rand", "scc", "--n", "50", "--c", "2", "--trials", "1"],

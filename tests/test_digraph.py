@@ -394,6 +394,17 @@ def test_count_walks():
         count_walks_dag(Digraph.build(2, [(1, 2), (2, 1)]), 1, 2)
 
 
+def test_the_component_labels_refuse_ids_beyond_int64():
+    # they read the arc columns through digraph.positions, as the boolean cores do
+    d = Digraph(frozenset({1, 2, 2**64}), {(1, 2): 1})
+    for op in (strongly_connected_components, is_acyclic, lambda g: count_walks_dag(g, 1, 2)):
+        with pytest.raises(DigraphError, match=f"^vertex ids must fit in int64 here, got {2**64}$"):
+            op(d)
+    top = Digraph(frozenset({1, 2, 2**63 - 1}), {(1, 2): 1, (2, 2**63 - 1): 1})
+    assert strongly_connected_components(top) == [frozenset({1}), frozenset({2}), frozenset({2**63 - 1})]
+    assert is_acyclic(top) and count_walks_dag(top, 1, 2**63 - 1) == 1
+
+
 def test_count_walks_matches_enumeration(rng):
     # on plain DAGs every walk is a concatenation counted once per route
     for _ in range(50):

@@ -263,6 +263,15 @@ def test_sampling():
     assert sample_dtcn(30, 0.1, "uniform", 3) == sample_dtcn(30, 0.1, "uniform", 3)
 
 
+@pytest.mark.parametrize("mode", ["uniform", "poisson"])
+def test_sampling_refuses_negative_retries(mode):
+    with pytest.raises(TemporalError, match="^max_retries must be >= 0, got -1$"):
+        sample_dtcn(5, 0.5, mode, 0, max_retries=-1)
+    assert sample_dtcn(5, 0.5, mode, 0, max_retries=0) == sample_dtcn(5, 0.5, mode, 0)
+    with pytest.raises(TemporalError, match=r"^sampled an empty contact network \(p=0.0\)"):
+        sample_dtcn(5, 0.0, mode, 0, max_retries=0)
+
+
 def test_sampling_memory_is_linear_in_contacts():
     import tracemalloc
 
