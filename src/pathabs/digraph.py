@@ -225,9 +225,8 @@ def pair_order(src: np.ndarray, dst: np.ndarray, time: np.ndarray | None = None)
     return order[np.lexsort([key[order] for key in keys])]
 
 
-def _starts(*columns: np.ndarray) -> np.ndarray:
+def _starts(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Where the runs of equal rows of sorted aligned columns start."""
-    first, *rest = columns
     start = np.empty(len(first), dtype=bool)
     start[:1] = True
     np.not_equal(first[1:], first[:-1], out=start[1:])
